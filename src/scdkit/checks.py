@@ -13,6 +13,7 @@ import numpy as np
 
 from .blocks import (CDBlock, CotSR, Encoder, EncoderConfig, PixelClassifier,
                      ResidualUnit, SiamSR)
+from .errors import NumericFailure
 from .losses import (change_loss, dense_cross_entropy,
                      semantic_consistency_loss, semantic_loss, total_loss)
 from .tensor import Tensor, grad_check, mul, sum_all, topo_order
@@ -51,7 +52,8 @@ def _draw_clear(make, attempts=200):
         built = make(attempt)
         if built.get("ok", True) and relu_margin(built["graph"]()) > _RELU_MARGIN:
             return built
-    raise RuntimeError("could not find a well-conditioned configuration to gradient-check")
+    raise NumericFailure("could not find a well-conditioned configuration to gradient-check",
+                         snapshot={"attempts": attempts})
 
 
 def _readout(rng, shape):

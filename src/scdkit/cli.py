@@ -139,6 +139,8 @@ def cmd_metrics(args):
 
 
 def cmd_gradcheck(args):
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = range(args.seeds)
     results = checks.gradient_suite(seeds)
     by_component = {}

@@ -266,11 +266,3 @@ def build(family, num_classes=4, seed=0, encoder=None, cd_width=48, cd_units=6,
                   ("cd", net.cd), ("head.p1", net.heads["p1"]),
                   ("head.p2", net.heads["p2"]), ("head.c", net.heads["c"])]
     return net
-
-
-def count_params(net):
-    return net.count_params()
-
-
-def estimate_flops(net, h, w):
-    return net.estimate_flops(h, w)

@@ -3,9 +3,10 @@
 Every operation returns a new tensor holding references to its parents plus a
 closure that maps the upstream gradient to per-parent contributions.  The
 graph is therefore implicit in the tensors themselves; `topo_order` linearizes
-it and `backward` walks it once in reverse, accumulating gradients into every
-tensor that requires them.  Repeated backward calls without `zero_grads`
-keep accumulating, which is what mini-batch loops rely on.
+it and `backward` walks it once in reverse, accumulating gradients into the
+leaves (parameters and inputs) that require them; intermediate tensors never
+hold a `.grad`.  Repeated backward calls without `zero_grads` keep
+accumulating, which is what mini-batch loops rely on.
 
 There is no implicit broadcasting: elementwise ops demand equal shapes, and
 the only scalar shortcut is `scale`.  Row-wise helpers (`row_scale`,
@@ -184,12 +185,17 @@ def matmul(a, b):
 
 
 def _im2col(xp, k, stride, oh, ow):
+    """(c*k*k, oh*ow) patch matrix of a padded c*h*w map, copied once by the
+    reshape of a strided window view.  For a 1x1 stride-1 kernel the reshape
+    copies nothing and the result is a view of `xp`.
+    """
+    xp = np.ascontiguousarray(xp)  # np.ndarray(buffer=...) needs a contiguous buffer
     c = xp.shape[0]
-    cols = np.empty((c, k, k, oh, ow), dtype=np.float64)
-    for di in range(k):
-        for dj in range(k):
-            cols[:, di, dj] = xp[:, di:di + stride * oh:stride, dj:dj + stride * ow:stride]
-    return cols.reshape(c * k * k, oh * ow)
+    sc, sh, sw = xp.strides
+    # several times cheaper per call than np.lib.stride_tricks.as_strided
+    windows = np.ndarray((c, k, k, oh, ow), np.float64, xp, 0,
+                         (sc, sh, sw, sh * stride, sw * stride))
+    return windows.reshape(c * k * k, oh * ow)
 
 
 def conv2d(x, kernel, stride=1, padding=0):
@@ -215,7 +221,11 @@ def conv2d(x, kernel, stride=1, padding=0):
     if oh < 1 or ow < 1:
         raise DimensionError(f"conv2d: {h}x{w} input too small for k={kh}, padding={padding}")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    if padding:
+        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+        xp[:, padding:padding + h, padding:padding + w] = x.data
+    else:
+        xp = x.data
     cols = _im2col(xp, kh, stride, oh, ow)
     w2 = kernel.data.reshape(c_out, c_in * kh * kw)
     out = (w2 @ cols).reshape(c_out, oh, ow)
@@ -386,10 +396,12 @@ def topo_order(root):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(t) into t.grad for every reachable requires_grad tensor.
+    """Accumulate d(loss)/d(t) into t.grad for every reachable requires_grad leaf.
 
-    The flowing gradients live in per-call buffers, so calling backward twice on
-    the same graph adds the same contribution twice (linearity), instead of
+    Leaves are the tensors no op produced (`backward_fn is None`): parameters
+    and inputs.  Intermediate results keep `grad = None`; their gradients live
+    only in per-call buffers while they flow, so calling backward twice on the
+    same graph adds the same contribution twice (linearity), instead of
     compounding stale values.
     """
     if loss.data.size != 1:
@@ -400,9 +412,9 @@ def backward(loss):
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node.backward_fn is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, contrib in zip(node.parents, node.backward_fn(g)):
             if contrib is None or not parent.requires_grad:
@@ -420,9 +432,11 @@ def zero_grads(tensors):
 def grad_check(f, x, step=1e-3):
     """Worst relative error between analytic and central-difference gradients.
 
-    `f` maps the tensor `x` to a scalar tensor and must be deterministic.  The
-    error at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    `f` maps the leaf tensor `x` to a scalar tensor and must be deterministic.
+    The error at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
+    if x.backward_fn is not None:
+        raise ContractError(f"grad_check: x must be a leaf tensor, got the output of {x.op}")
     x.requires_grad = True
     x.grad = None
     out = f(x)

@@ -149,13 +149,14 @@ def train(net, samples, cfg, log=None):
                 pair = samples[int(idx)]
                 if cfg.augment:
                     pair = datamod.augment(pair, rng)
-                loss, report, _ = sample_loss(net, pair, cfg)
+                loss, report = sample_loss(net, pair, cfg)[:2]
                 if not math.isfinite(report.l_total):
                     raise NumericFailure(
                         f"non-finite loss at epoch {epoch}, sample {pair.stem}",
                         snapshot={"epoch": epoch, "stem": pair.stem, "lr": lr,
                                   "report": report})
                 backward(scale(loss, 1.0 / len(batch)))
+                del loss  # frees this sample's graph before the next one is built
                 reports.append(report)
             opt.step(lr)
         epoch_report = _mean_report(reports)
@@ -174,13 +175,14 @@ def evaluate(net, samples, collect_predictions=False):
     disagree = []
     predictions = []
     for pair in samples:
-        t1, t2 = datamod.pair_tensors(pair)
-        out = net.forward(t1, t2)
-        cm1.add(out.s1, pair.label1.astype(np.int64))
-        cm2.add(out.s2, pair.label2.astype(np.int64))
-        disagree.append(mask_disagreement(out.s1, out.s2))
+        out = net.forward(*datamod.pair_tensors(pair))
+        s1, s2 = out.s1, out.s2
+        del out  # frees this pair's graph before the next one is built
+        cm1.add(s1, pair.label1.astype(np.int64))
+        cm2.add(s2, pair.label2.astype(np.int64))
+        disagree.append(mask_disagreement(s1, s2))
         if collect_predictions:
-            predictions.append((pair.stem, out.s1, out.s2))
+            predictions.append((pair.stem, s1, s2))
     report = compute_report(cm1.merge(cm2))
     report.temporal = [compute_report(cm1), compute_report(cm2)]
     report.mask_disagreement = float(np.mean(disagree)) if disagree else 0.0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from scdkit import checks
 from scdkit.cli import main
 from scdkit.config import Settings, parse_config
 from scdkit.data import write_pgm
@@ -194,6 +195,18 @@ def test_gradcheck_single_seed(capsys):
     out = capsys.readouterr().out
     assert "worst over 1 seed(s)" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gradcheck_rejects_empty_seed_range(count, capsys):
+    assert main(["gradcheck", "--seeds", count]) == 1
+    assert "--seeds must be >= 1" in capsys.readouterr().err
+
+
+def test_gradcheck_exits_two_when_no_case_is_well_conditioned(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "_RELU_MARGIN", np.inf)
+    assert main(["gradcheck", "--seeds", "1"]) == 2
+    assert "'attempts': 200" in capsys.readouterr().err
 
 
 def test_compare_lists_all_families(cfg_file, capsys):

@@ -65,14 +65,32 @@ def test_matmul_shape_mismatch():
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-def test_conv2d_matches_naive_loops(stride, padding):
+# 1x1 is the CDBlock fuse conv, where the im2col matrix is a view of the input
+@pytest.mark.parametrize("stride,padding,size", [
+    pytest.param(s, p, k, id=f"{s}-{p}" if k == 3 else f"{s}-{p}-k{k}")
+    for k in (3, 1, 5) for s in (1, 2) for p in (0, 1)])
+def test_conv2d_matches_naive_loops(stride, padding, size):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 7, 6))
-    k = rng.normal(size=(4, 3, 3, 3))
+    k = rng.normal(size=(4, 3, size, size))
     got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
     np.testing.assert_allclose(got, conv2d_oracle(x, k, stride, padding),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("size,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1),
+                                                  (3, 2, 1), (5, 1, 2), (5, 2, 0)])
+def test_conv2d_gradients_are_exact_adjoints(size, stride, padding):
+    # conv is bilinear, so <conv(x, k), g> = <x, gx> = <k, gk> up to roundoff
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(3, 7, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(4, 3, size, size)), requires_grad=True)
+    out = conv2d(x, k, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    backward(sum_all(mul(out, Tensor(g))))
+    value = float(np.vdot(out.data, g))
+    assert float(np.vdot(x.data, x.grad)) == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert float(np.vdot(k.data, k.grad)) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 def test_conv2d_identity_kernel():
@@ -210,6 +228,18 @@ def test_repeated_backward_adds_linearly():
     assert x.grad is None
 
 
+def test_backward_sets_grad_on_leaves_only():
+    x = Tensor(np.ones(3), requires_grad=True)
+    w = Tensor(np.full(3, 2.0), requires_grad=True)
+    y = mul(x, w)
+    loss = sum_all(y)
+    backward(loss)
+    backward(loss)
+    assert y.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
@@ -260,6 +290,12 @@ def test_grad_check_linear_is_tight():
     w = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
     x = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
     assert grad_check(lambda t: sum_all(mul(t, w)), x) < 1e-9
+
+
+def test_grad_check_rejects_non_leaf():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError, match="leaf"):
+        grad_check(lambda t: sum_all(t), scale(x, 2.0))
 
 
 @pytest.mark.parametrize("seed,fn", [
