@@ -14,6 +14,7 @@ estimator (2 FLOPs per multiply-add, activations free).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -366,12 +367,13 @@ def load_checkpoint(path):
     """Read a checkpoint back as an ordered list of (name, ndarray)."""
 
     def take(f, n, what):
-        buf = f.read(n)
-        if len(buf) != n:
+        # checked before reading, so a huge declared shape allocates nothing
+        if n > size - f.tell():
             raise DataError(f"{path}: truncated checkpoint while reading {what}")
-        return buf
+        return f.read(n)
 
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if take(f, 4, "magic") != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a checkpoint file (bad magic)")
         version = struct.unpack("<B", take(f, 1, "version"))[0]
@@ -381,13 +383,20 @@ def load_checkpoint(path):
         entries = []
         for _ in range(count):
             nlen = struct.unpack("<H", take(f, 2, "name length"))[0]
-            name = take(f, nlen, "name").decode("utf-8")
+            try:
+                name = take(f, nlen, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: checkpoint entry name is not valid UTF-8") from None
             ndim = struct.unpack("<B", take(f, 1, "ndim"))[0]
             shape = tuple(struct.unpack("<I", take(f, 4, "dim"))[0] for _ in range(ndim))
             n = 1
             for d in shape:
                 n *= d
-            data = np.frombuffer(take(f, 8 * n, f"values of {name}"), dtype="<f8").reshape(shape)
+            raw = take(f, 8 * n, f"values of {name}")
+            try:
+                data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            except ValueError as e:  # more dimensions than numpy supports
+                raise DataError(f"{path}: entry {name!r} has unsupported shape ({e})") from None
             entries.append((name, np.ascontiguousarray(data, dtype=np.float64)))
         if f.read(1):
             raise DataError(f"{path}: trailing bytes after last checkpoint entry")

@@ -13,6 +13,7 @@ is reported as a warning rather than an error.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,9 +62,11 @@ def _read_netpbm(path, magic, channels):
             raise DataError(f"{path}: bad dimensions {w}x{h}")
         if maxval != 255:
             raise DataError(f"{path}: maxval {maxval} unsupported, expected 255")
-        raw = f.read(w * h * channels)
-        if len(raw) != w * h * channels:
-            raise DataError(f"{path}: raster truncated ({len(raw)} of {w * h * channels} bytes)")
+        need = w * h * channels
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if need > left:  # checked before reading, so a huge header allocates nothing
+            raise DataError(f"{path}: raster truncated ({left} of {need} bytes)")
+        raw = f.read(need)
     arr = np.frombuffer(raw, dtype=np.uint8)
     if channels == 1:
         return arr.reshape(h, w).copy()

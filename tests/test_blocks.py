@@ -1,5 +1,7 @@
 """Block semantics: identities, parameter layout, cost model, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,33 @@ def test_checkpoint_trailing_bytes(tmp_path):
     save_checkpoint(path, make_params())
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataError, match="trailing"):
+        load_checkpoint(path)
+
+
+def checkpoint_bytes(name, shape):
+    """One-entry checkpoint header (format of save_checkpoint) with no values."""
+    head = b"SCDK" + struct.pack("<BI", 1, 1) + struct.pack("<H", len(name)) + name
+    return head + struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+
+
+def test_checkpoint_oversized_shape_is_data_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(checkpoint_bytes(b"w", (4_000_000_000,) * 3))
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_too_many_dimensions_is_data_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(checkpoint_bytes(b"w", (0,) * 70))  # no values to read
+    with pytest.raises(DataError, match="unsupported shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_name_not_utf8_is_data_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(checkpoint_bytes(b"\xff\xfe", (1,)) + bytes(8))
+    with pytest.raises(DataError, match="UTF-8"):
         load_checkpoint(path)
 
 

@@ -81,6 +81,13 @@ def test_parse_config_missing_file(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+def test_parse_config_not_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe = 3\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        parse_config(path)
+
+
 def test_settings_round_trip_into_builders(cfg_file):
     settings = parse_config(cfg_file)
     settings.encoder_config().validate()
@@ -233,6 +240,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["generate", "--config", str(bad_cfg),
                  "--out", str(tmp_path / "d")]) == 1
     capsys.readouterr()
+
+
+def test_config_not_utf8_exits_one(tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"\xff\xfe = 3\n")
+    assert main(["generate", "--config", str(bad_cfg), "--out", str(tmp_path / "d")]) == 1
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_unknown_family_exits_one(capsys):

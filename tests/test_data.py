@@ -59,6 +59,14 @@ def test_rejects_truncated_raster(tmp_path):
         read_ppm(path)
 
 
+@pytest.mark.parametrize("magic,reader", [(b"P5", read_pgm), (b"P6", read_ppm)])
+def test_oversized_header_is_data_error(tmp_path, magic, reader):
+    path = tmp_path / "huge.pnm"
+    path.write_bytes(magic + b" 4000000000 4000000000 255\n" + bytes(4))
+    with pytest.raises(DataError, match="truncated"):
+        reader(path)
+
+
 def test_rejects_malformed_header(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\ntwo 2\n255\n" + bytes(4))

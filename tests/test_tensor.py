@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from scdkit.errors import ContractError, DimensionError
-from scdkit.tensor import (Tensor, add, backward, clip, concat_channels,
+from scdkit.tensor import (_SCATTER_MAX_ENTRIES, Tensor, _col2im_index, add,
+                           backward, clip, concat_channels,
                            conv2d, div, grad_check, log, log_softmax_rows,
                            matmul, mul, neg, relu, reshape, row_bias,
                            row_scale, scale, sigmoid, softmax_rows, sqrt,
@@ -48,6 +49,18 @@ def conv2d_oracle(x, kernel, stride, padding):
     return out
 
 
+def col2im_reference(dcols, xp_shape, k, stride, oh, ow):
+    """Fold a (c*k*k, oh*ow) patch-matrix gradient onto the padded map with
+    k*k strided slice-adds into zeros: the summation order conv2d's
+    backward must reproduce on both sides of its scatter/loop switch."""
+    dcols = dcols.reshape(xp_shape[0], k, k, oh, ow)
+    dxp = np.zeros(xp_shape)
+    for di in range(k):
+        for dj in range(k):
+            dxp[:, di:di + stride * oh:stride, dj:dj + stride * ow:stride] += dcols[:, di, dj]
+    return dxp
+
+
 # ---------------------------------------------------------------------------
 # forward values
 
@@ -76,6 +89,35 @@ def test_conv2d_matches_naive_loops(stride, padding, size):
     got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
     np.testing.assert_allclose(got, conv2d_oracle(x, k, stride, padding),
                                rtol=1e-12, atol=1e-12)
+
+
+# The 3x7x6 input is the forward test's grid (stride 2 leaves the last row or
+# column uncovered) and takes the bincount scatter; 16x48x44 is past
+# _SCATTER_MAX_ENTRIES and takes the slice-add loop.
+@pytest.mark.parametrize("shape,stride,padding,size", [
+    pytest.param((3, 7, 6), s, p, k, id=f"{s}-{p}-k{k}")
+    for k in (3, 1, 5) for s in (1, 2) for p in (0, 1)] + [
+    pytest.param((16, 48, 44), s, p, 3, id=f"{s}-{p}-k3-large") for s in (1, 2) for p in (0, 1)])
+def test_conv2d_input_gradient_matches_slice_add_col2im_bit_for_bit(shape, stride, padding, size):
+    rng = np.random.default_rng(1)
+    c, h, w = shape
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    k = rng.normal(size=(4, c, size, size))
+    out = conv2d(x, Tensor(k), stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    backward(sum_all(mul(out, Tensor(g))))
+    _, oh, ow = out.shape
+    dcols = k.reshape(4, -1).T @ g.reshape(4, -1)
+    assert (dcols.size <= _SCATTER_MAX_ENTRIES) == (c == 3)
+    dxp = col2im_reference(dcols, (c, h + 2 * padding, w + 2 * padding), size, stride, oh, ow)
+    expect = dxp[:, padding:padding + h, padding:padding + w]
+    assert np.array_equal(x.grad.view(np.int64), expect.view(np.int64))
+
+
+def test_col2im_index_is_cached_and_read_only():
+    idx = _col2im_index(2, 5, 5, 3, 1, 3, 3)
+    assert idx is _col2im_index(2, 5, 5, 3, 1, 3, 3)
+    assert not idx.flags.writeable
 
 
 @pytest.mark.parametrize("size,stride,padding", [(1, 1, 0), (1, 2, 0), (3, 1, 1),
