@@ -68,6 +68,82 @@ def _check_params(results, name, build_graph, tensors, step=1e-3):
         results.append((f"{name}[{suffix}]", err))
 
 
+def _peak_logit(proj, x):
+    """Largest |query-key logit| of one attention projection over the map `x`."""
+    flat = x.data.reshape(x.shape[0], -1)
+    return float(np.abs((proj.query.data @ flat).T @ (proj.key.data @ flat)).max())
+
+
+def _residual_unit(r):
+    unit = ResidualUnit(4, r)
+    x = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
+    out = _readout(r, (4, 4, 4))
+    return {"graph": lambda: out(unit(x)),
+            "tensors": [("input", x), ("conv1", unit.conv1), ("conv2", unit.conv2)]}
+
+
+def _encoder_stage(r):
+    """One encoder stage: strided conv plus a unit (inside a full encoder)."""
+    enc = Encoder(EncoderConfig(3, (4, 4, 4), (2, 2, 2), (1, 0, 0)), r)
+    conv0 = enc.stages[0][0]
+    unit0 = enc.stages[0][3][0]
+    x = Tensor(r.normal(0.0, 1.0, size=(3, 8, 8)))
+    out = _readout(r, (4, 1, 1))
+    return {"graph": lambda: out(enc(x)),
+            "tensors": [("input", x), ("conv", conv0),
+                        ("unit.conv1", unit0.conv1), ("unit.conv2", unit0.conv2)]}
+
+
+def _cd_block(r):
+    cd = CDBlock(4, 4, 2, r)
+    a = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
+    b = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
+    out = _readout(r, (4, 4, 4))
+    tensors = [("x1", a), ("x2", b), ("fuse", cd.fuse)]
+    tensors += [(f"unit{i}.conv{j}", getattr(u, f"conv{j}"))
+                for i, u in enumerate(cd.units) for j in (1, 2)]
+    return {"graph": lambda: out(cd(a, b)), "tensors": tensors}
+
+
+def _siam_sr(r):
+    """Self-attention, value projection randomized away from its zero init."""
+    sr = SiamSR(4, 2, r)
+    sr.proj.value.data = r.normal(0.0, 0.5, size=sr.proj.value.shape)
+    x = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
+    out = _readout(r, (4, 3, 3))
+    return {"graph": lambda: out(sr(x)),
+            "ok": _peak_logit(sr.proj, x) <= _LOGIT_BOUND,
+            "tensors": [("input", x), ("query", sr.proj.query),
+                        ("key", sr.proj.key), ("value", sr.proj.value)]}
+
+
+def _cot_sr(r):
+    """Cross-temporal attention with shared projections."""
+    cot = CotSR(4, 2, r, shared=True)
+    cot.branch1.value.data = r.normal(0.0, 0.5, size=cot.branch1.value.shape)
+    x1 = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
+    x2 = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
+    out = _readout(r, (4, 3, 3))
+
+    def graph():
+        y1, y2 = cot(x1, x2)
+        return sum_all(mul(out(y1), out(y2)))
+
+    peak = max(_peak_logit(cot.branch1, x1), _peak_logit(cot.branch2, x2))
+    return {"graph": graph, "ok": peak <= _LOGIT_BOUND,
+            "tensors": [("x1", x1), ("x2", x2), ("query", cot.branch1.query),
+                        ("key", cot.branch1.key), ("value", cot.branch1.value)]}
+
+
+# (result name, rng stream, builder): each builder draws one configuration
+# from the rng it is given, which `_draw_clear` redraws per attempt.
+_CASES = (("residual_unit", 11, _residual_unit),
+          ("encoder_stage", 12, _encoder_stage),
+          ("cd_block", 13, _cd_block),
+          ("siam_sr", 14, _siam_sr),
+          ("cot_sr", 15, _cot_sr))
+
+
 def gradient_suite(seeds=range(10)):
     """Returns [(component name, max relative error)] across all seeds."""
     results = []
@@ -75,93 +151,9 @@ def gradient_suite(seeds=range(10)):
         rng = np.random.default_rng([seed, 97])
         tag = f"seed{seed}"
 
-        # residual unit
-        def make_unit(attempt):
-            r = np.random.default_rng([seed, 11, attempt])
-            unit = ResidualUnit(4, r)
-            x = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
-            out = _readout(r, (4, 4, 4))
-            return {"graph": lambda: out(unit(x)),
-                    "tensors": [("input", x), ("conv1", unit.conv1),
-                                ("conv2", unit.conv2)]}
-
-        built = _draw_clear(make_unit)
-        _check_params(results, f"{tag}/residual_unit", built["graph"], built["tensors"])
-
-        # one encoder stage: strided conv plus a unit (inside a full encoder)
-        def make_stage(attempt):
-            r = np.random.default_rng([seed, 12, attempt])
-            enc = Encoder(EncoderConfig(3, (4, 4, 4), (2, 2, 2), (1, 0, 0)), r)
-            conv0 = enc.stages[0][0]
-            unit0 = enc.stages[0][3][0]
-            xe = Tensor(r.normal(0.0, 1.0, size=(3, 8, 8)))
-            oute = _readout(r, (4, 1, 1))
-            return {"graph": lambda: oute(enc(xe)),
-                    "tensors": [("input", xe), ("conv", conv0),
-                                ("unit.conv1", unit0.conv1),
-                                ("unit.conv2", unit0.conv2)]}
-
-        built = _draw_clear(make_stage)
-        _check_params(results, f"{tag}/encoder_stage", built["graph"], built["tensors"])
-
-        # change trunk
-        def make_cd(attempt):
-            r = np.random.default_rng([seed, 13, attempt])
-            cd = CDBlock(4, 4, 2, r)
-            a = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
-            b = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
-            outc = _readout(r, (4, 4, 4))
-            tensors = [("x1", a), ("x2", b), ("fuse", cd.fuse)]
-            tensors += [(f"unit{i}.conv{j}", getattr(u, f"conv{j}"))
-                        for i, u in enumerate(cd.units) for j in (1, 2)]
-            return {"graph": lambda: outc(cd(a, b)), "tensors": tensors}
-
-        built = _draw_clear(make_cd)
-        _check_params(results, f"{tag}/cd_block", built["graph"], built["tensors"])
-
-        # self-attention (value projection randomized away from its zero init)
-        def make_sr(attempt):
-            r = np.random.default_rng([seed, 14, attempt])
-            sr = SiamSR(4, 2, r)
-            sr.proj.value.data = r.normal(0.0, 0.5, size=sr.proj.value.shape)
-            xs = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
-            outs = _readout(r, (4, 3, 3))
-            flat = xs.data.reshape(4, 9)
-            logits = (sr.proj.query.data @ flat).T @ (sr.proj.key.data @ flat)
-            return {"graph": lambda: outs(sr(xs)),
-                    "ok": float(np.abs(logits).max()) <= _LOGIT_BOUND,
-                    "tensors": [("input", xs), ("query", sr.proj.query),
-                                ("key", sr.proj.key), ("value", sr.proj.value)]}
-
-        built = _draw_clear(make_sr)
-        _check_params(results, f"{tag}/siam_sr", built["graph"], built["tensors"])
-
-        # cross-temporal attention (shared projections)
-        def make_cot(attempt):
-            r = np.random.default_rng([seed, 15, attempt])
-            cot = CotSR(4, 2, r, shared=True)
-            cot.branch1.value.data = r.normal(0.0, 0.5, size=cot.branch1.value.shape)
-            x1 = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
-            x2 = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
-            outt = _readout(r, (4, 3, 3))
-
-            def graph():
-                y1, y2 = cot(x1, x2)
-                return sum_all(mul(outt(y1), outt(y2)))
-
-            peak = 0.0
-            for x, branch in ((x1, cot.branch1), (x2, cot.branch2)):
-                flat = x.data.reshape(4, 9)
-                logits = (branch.query.data @ flat).T @ (branch.key.data @ flat)
-                peak = max(peak, float(np.abs(logits).max()))
-            return {"graph": graph, "ok": peak <= _LOGIT_BOUND,
-                    "tensors": [("x1", x1), ("x2", x2),
-                                ("query", cot.branch1.query),
-                                ("key", cot.branch1.key),
-                                ("value", cot.branch1.value)]}
-
-        built = _draw_clear(make_cot)
-        _check_params(results, f"{tag}/cot_sr", built["graph"], built["tensors"])
+        for name, stream, case in _CASES:
+            built = _draw_clear(lambda attempt: case(np.random.default_rng([seed, stream, attempt])))
+            _check_params(results, f"{tag}/{name}", built["graph"], built["tensors"])
 
         # classifier head
         head = PixelClassifier(4, 3, rng)
@@ -175,29 +167,26 @@ def gradient_suite(seeds=range(10)):
         labels = rng.integers(0, 4, size=(4, 4))
         p1 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
         p2 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
-        change = (labels != 0).astype(np.int64)
-        results.append((f"{tag}/semantic_loss",
-                        grad_check(lambda t: semantic_loss(t, labels), p1)))
-        results.append((f"{tag}/dense_cross_entropy",
-                        grad_check(lambda t: dense_cross_entropy(t, labels), Tensor(
-                            rng.normal(0.0, 1.5, size=(5, 4, 4))))))
+        dense = Tensor(rng.normal(0.0, 1.5, size=(5, 4, 4)))
         cl = Tensor(rng.normal(0.0, 2.0, size=(4, 4)))
-        results.append((f"{tag}/change_loss",
-                        grad_check(lambda t: change_loss(t, change), cl)))
-        for mode in ("intent", "literal"):
-            results.append((f"{tag}/consistency_{mode}",
-                            grad_check(lambda t: semantic_consistency_loss(
-                                t, p2, change, mode=mode), p1)))
-        results.append((f"{tag}/consistency_logit_space",
-                        grad_check(lambda t: semantic_consistency_loss(
-                            t, p2, change, space="logit"), p1)))
+        change = (labels != 0).astype(np.int64)
 
         def combined(t):
             return total_loss(semantic_loss(t, labels), semantic_loss(p2, labels),
                               change_loss(cl, change),
                               semantic_consistency_loss(t, p2, change))
 
-        results.append((f"{tag}/total_loss", grad_check(combined, p1)))
+        losses = (("semantic_loss", lambda t: semantic_loss(t, labels), p1),
+                  ("dense_cross_entropy", lambda t: dense_cross_entropy(t, labels), dense),
+                  ("change_loss", lambda t: change_loss(t, change), cl),
+                  ("consistency_intent", lambda t: semantic_consistency_loss(t, p2, change), p1),
+                  ("consistency_literal",
+                   lambda t: semantic_consistency_loss(t, p2, change, mode="literal"), p1),
+                  ("consistency_logit_space",
+                   lambda t: semantic_consistency_loss(t, p2, change, space="logit"), p1),
+                  ("total_loss", combined, p1))
+        for name, f, x in losses:
+            results.append((f"{tag}/{name}", grad_check(f, x)))
     return results
 
 

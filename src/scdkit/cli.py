@@ -30,7 +30,7 @@ from .blocks import restore_checkpoint
 from .train import evaluate, evaluate_directories, save_trained, train
 from .errors import (ConfigError, ContractError, DataError, DimensionError,
                      NumericFailure, UndefinedMetricError)
-from .metrics import _FIELDS, UNDEFINED
+from .metrics import _FIELDS
 from .networks import FAMILIES, build, normalize_family
 
 
@@ -62,11 +62,7 @@ def _emit_report(args, report, human_prefix=""):
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         _write_out(args.json, text)
     if getattr(args, "csv", None):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_FIELDS + ("pixels",))
-        writer.writerow(report.cells() + [report.pixels])
-        _write_out(args.csv, buf.getvalue())
+        _write_csv(args.csv, _FIELDS + ("pixels",), [report.cells() + [report.pixels]])
     if not args.json and not getattr(args, "csv", None):
         print(human_prefix + report.line())
 
@@ -77,6 +73,14 @@ def _write_out(target, text):
     else:
         Path(target).parent.mkdir(parents=True, exist_ok=True)
         Path(target).write_text(text)
+
+
+def _write_csv(target, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_out(target, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +165,25 @@ def cmd_compare(args):
     size = args.size if args.size is not None else settings.generate_size
     samples = datamod.load_dataset(args.data, settings.classes) if args.data else None
     rows = []
+    csv_rows = []
     for family in FAMILIES:
         settings.family = family
         net = _build_net(settings)
         row = {"family": family, "params": net.count_params(),
                "flops": net.estimate_flops(size, size)}
+        cells = [family, row["params"], row["flops"]]
         if samples:
             report = evaluate(net, samples)
             row.update({name: getattr(report, name) for name in _FIELDS})
+            cells += report.cells()
         rows.append(row)
+        csv_rows.append(cells)
 
     if args.json:
         _write_out(args.json, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
         header = ["family", "params", "flops"] + (list(_FIELDS) if samples else [])
-        writer.writerow(header)
-        for row in rows:
-            cells = [row["family"], row["params"], row["flops"]]
-            if samples:
-                cells += [UNDEFINED if row[name] is None else f"{row[name]:.6f}"
-                          for name in _FIELDS]
-            writer.writerow(cells)
-        _write_out(args.csv, buf.getvalue())
+        _write_csv(args.csv, header, csv_rows)
     if not args.json and not args.csv:
         for row in rows:
             print(f"{row['family']:8s} params {row['params']:10d}  flops({size}x{size}) {row['flops']:12d}")

@@ -162,7 +162,7 @@ class LossReport:
 
     @classmethod
     def from_terms(cls, l_sem1, l_sem2, l_change, l_sc, sem_pixels=0, change_pixels=0):
-        total = (l_sem1 + l_sem2) * 0.5 + l_change + l_sc
+        total = total_loss(Tensor(l_sem1), Tensor(l_sem2), Tensor(l_change), Tensor(l_sc)).item()
         return cls(l_sem1, l_sem2, l_change, l_sc, total, sem_pixels, change_pixels)
 
     def line(self, tag=""):

@@ -109,14 +109,17 @@ def _sek_parts(cm):
     return rho, eta
 
 
+def _sek_value(iou_c, rho, eta):
+    if eta == 1.0:
+        raise UndefinedMetricError("separated kappa undefined: chance agreement eta equals 1")
+    return math.exp(iou_c - 1.0) * (rho - eta) / (1.0 - eta)
+
+
 def sek(cm):
     """Returns (rho, eta, sek) computed on Q-hat (q00 zeroed)."""
     rho, eta = _sek_parts(cm)
-    if eta == 1.0:
-        raise UndefinedMetricError("separated kappa undefined: chance agreement eta equals 1")
     _, iou_c, _ = miou(cm)  # Q-hat nonempty implies the changed union is nonempty
-    value = math.exp(iou_c - 1.0) * (rho - eta) / (1.0 - eta)
-    return rho, eta, value
+    return rho, eta, _sek_value(iou_c, rho, eta)
 
 
 def f_scd(cm):
@@ -201,9 +204,7 @@ def compute_report(cm):
     report.iou_nc, report.iou_c, report.miou = miou(cm)
     try:
         report.rho, report.eta = _sek_parts(cm)
-        if report.eta != 1.0:
-            report.sek = (math.exp(report.iou_c - 1.0)
-                          * (report.rho - report.eta) / (1.0 - report.eta))
+        report.sek = _sek_value(report.iou_c, report.rho, report.eta)
     except UndefinedMetricError:
         pass
     try:

@@ -16,13 +16,16 @@ All families run their encoders at 1/8 input resolution, attach per-pixel
            semantic heads.  The change trunk reads the self-attended maps,
            before the cross-temporal exchange.
 
+One table, `_WIRING`, defines these wirings.  `build` reads it, and
+`Network.forward` is one path over whichever components exist.
+
 Weight sharing is by instance reuse, so shared parameters appear exactly once
 in `named_parameters` and one optimizer step keeps the branches identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,15 +35,36 @@ from .errors import ConfigError, DimensionError
 from .tensor import (Tensor, concat_channels, stable_sigmoid,
                      upsample_bilinear, upsample_nearest)
 
-FAMILIES = ("dscd-e", "dscd-l", "sscd-e", "sscd-l", "bisrnet")
-
-_ALIASES = {"bi-srnet": "bisrnet", "bisr-net": "bisrnet"}
-
 # Fixed per-component seed streams keep shared components bit-identical across
 # families built from the same seed (a bisrnet and an sscd-l then differ only
 # by the attention blocks).
 _STREAMS = {"encoder": 0, "change_encoder": 1, "cd": 2, "sr": 3, "cotsr": 4,
             "head_p1": 5, "head_p2": 6, "head_c": 7, "head_s1": 8, "head_s2": 9}
+
+
+@dataclass(frozen=True)
+class _Wiring:
+    stacked: bool        # one encoder over both images stacked to 6 channels
+    change: str | None   # change branch: "cd" trunk, "change_encoder" or None
+    attention: bool      # SiamSR on each temporal map, CotSR across them
+    joint: bool          # (N+1)-class heads s1/s2, else N-class p1/p2 plus change head c
+
+
+_WIRING = {
+    "dscd-e": _Wiring(stacked=True, change=None, attention=False, joint=True),
+    "dscd-l": _Wiring(stacked=False, change="cd", attention=False, joint=True),
+    "sscd-e": _Wiring(stacked=False, change="change_encoder", attention=False, joint=False),
+    "sscd-l": _Wiring(stacked=False, change="cd", attention=False, joint=False),
+    "bisrnet": _Wiring(stacked=False, change="cd", attention=True, joint=False),
+}
+
+FAMILIES = tuple(_WIRING)
+
+_ALIASES = {"bi-srnet": "bisrnet", "bisr-net": "bisrnet"}
+
+# Parameter order: these components, then the heads in insertion order.  The
+# checkpoint format depends on it.
+_COMPONENTS = ("encoder", "change_encoder", "sr", "cotsr", "cd")
 
 
 def normalize_family(name):
@@ -100,24 +124,25 @@ def mask_disagreement(s1, s2):
 
 
 class Network:
-    def __init__(self, family, num_classes, encoder_config, threshold, upsample_mode):
+    def __init__(self, family, num_classes, threshold, upsample_mode):
         self.family = family
         self.num_classes = num_classes
-        self.encoder_config = encoder_config
+        self.wiring = _WIRING[family]
         self.threshold = threshold
         self.upsample_mode = upsample_mode
-        self._named = []       # (name, block) pairs in build order
         self.encoder = None
         self.change_encoder = None
-        self.cd = None
         self.sr = None
         self.cotsr = None
+        self.cd = None
         self.heads = {}
 
     # -- parameters ---------------------------------------------------------
 
     def _components(self):
-        return [(n, b) for n, b in self._named if b is not None]
+        named = [(name, getattr(self, name)) for name in _COMPONENTS]
+        named += [(f"head.{key}", head) for key, head in self.heads.items()]
+        return [(n, b) for n, b in named if b is not None]
 
     def named_parameters(self):
         out = []
@@ -138,15 +163,12 @@ class Network:
         if h % 8 or w % 8:
             raise DimensionError(f"estimate_flops: spatial dims must be divisible by 8, got {h}x{w}")
         fh, fw = h // 8, w // 8
+        # the shared encoder and the self-attention run once per image
+        passes = {"encoder": 1 if self.wiring.stacked else 2, "sr": 2}
         macs = 0
         for name, block in self._components():
-            if name in ("encoder", "change_encoder"):
-                passes = 2 if (name == "encoder" and self.family != "dscd-e") else 1
-                macs += passes * block.macs(h, w)
-            elif name == "sr":
-                macs += 2 * block.macs(fh, fw)  # applied to both temporal branches
-            else:
-                macs += block.macs(fh, fw)
+            size = (h, w) if name in ("encoder", "change_encoder") else (fh, fw)
+            macs += passes.get(name, 1) * block.macs(*size)
         return 2 * macs
 
     # -- forward ------------------------------------------------------------
@@ -161,47 +183,39 @@ class Network:
         if i1.shape != i2.shape:
             raise DimensionError(f"forward: input shapes {i1.shape} and {i2.shape} differ")
 
-        if self.family == "dscd-e":
-            feat = self.encoder(concat_channels(i1, i2))
-            p1 = self._upsample(self.heads["s1"](feat))
-            p2 = self._upsample(self.heads["s2"](feat))
-            return ForwardOutput(p1, p2, None,
-                                 np.argmax(p1.data, axis=0), np.argmax(p2.data, axis=0))
+        if self.wiring.stacked:
+            f1 = f2 = self.encoder(concat_channels(i1, i2))
+        else:
+            f1, f2 = self.encoder(i1), self.encoder(i2)
+        if self.sr is not None:
+            f1, f2 = self.sr(f1), self.sr(f2)
+        # the change trunk reads the self-attended maps, not the exchanged ones
+        change = None
+        if self.cd is not None:
+            change = self.cd(f1, f2)
+        elif self.change_encoder is not None:
+            change = self.change_encoder(concat_channels(i1, i2))
+        if self.cotsr is not None:
+            f1, f2 = self.cotsr(f1, f2)
 
-        if self.family == "dscd-l":
-            trunk = self.cd(self.encoder(i1), self.encoder(i2))
+        if "c" not in self.heads:
+            # joint heads carry no-change as class 0 and read the trunk if there is one
+            trunk = f1 if change is None else change
             p1 = self._upsample(self.heads["s1"](trunk))
             p2 = self._upsample(self.heads["s2"](trunk))
             return ForwardOutput(p1, p2, None,
                                  np.argmax(p1.data, axis=0), np.argmax(p2.data, axis=0))
 
-        if self.family == "sscd-e":
-            f1, f2 = self.encoder(i1), self.encoder(i2)
-            fc = self.change_encoder(concat_channels(i1, i2))
-            p1 = self._upsample(self.heads["p1"](f1))
-            p2 = self._upsample(self.heads["p2"](f2))
-            c = self._upsample(self.heads["c"](fc))
-        elif self.family == "sscd-l":
-            f1, f2 = self.encoder(i1), self.encoder(i2)
-            p1 = self._upsample(self.heads["p1"](f1))
-            p2 = self._upsample(self.heads["p2"](f2))
-            c = self._upsample(self.heads["c"](self.cd(f1, f2)))
-        else:  # bisrnet
-            x1 = self.sr(self.encoder(i1))
-            x2 = self.sr(self.encoder(i2))
-            # the change trunk reads the self-attended maps, not the exchanged ones
-            c = self._upsample(self.heads["c"](self.cd(x1, x2)))
-            y1, y2 = self.cotsr(x1, x2)
-            p1 = self._upsample(self.heads["p1"](y1))
-            p2 = self._upsample(self.heads["p2"](y2))
-
+        p1 = self._upsample(self.heads["p1"](f1))
+        p2 = self._upsample(self.heads["p2"](f2))
+        c = self._upsample(self.heads["c"](change))
         s1, s2 = mask_semantic(p1, p2, c, self.threshold)
         return ForwardOutput(p1, p2, c, s1, s2)
 
 
 def build(family, num_classes=4, seed=0, encoder=None, cd_width=48, cd_units=6,
           reduction=2, cotsr_shared=True, threshold=0.5, upsample="nearest"):
-    """Assemble a network family with deterministic, per-component seeding."""
+    """Assemble a family from its `_WIRING` row, with per-component seeding."""
     family = normalize_family(family)
     if num_classes < 2:
         raise ConfigError(f"need at least 2 semantic classes, got {num_classes}")
@@ -217,52 +231,25 @@ def build(family, num_classes=4, seed=0, encoder=None, cd_width=48, cd_units=6,
     def rng(component):
         return np.random.default_rng([int(seed), _STREAMS[component]])
 
-    net = Network(family, num_classes, cfg, threshold, upsample)
-    n = num_classes
-
-    if family == "dscd-e":
-        wide = EncoderConfig(6, cfg.stage_channels, cfg.strides, cfg.units_per_stage, cfg.norm)
-        net.encoder = Encoder(wide, rng("encoder"))
-        net.heads["s1"] = PixelClassifier(net.encoder.out_channels, n + 1, rng("head_s1"))
-        net.heads["s2"] = PixelClassifier(net.encoder.out_channels, n + 1, rng("head_s2"))
-        net._named = [("encoder", net.encoder), ("head.s1", net.heads["s1"]),
-                      ("head.s2", net.heads["s2"])]
-        return net
-
-    net.encoder = Encoder(cfg, rng("encoder"))
+    net = Network(family, num_classes, threshold, upsample)
+    wiring = net.wiring
+    stacked = replace(cfg, in_channels=6)
+    net.encoder = Encoder(stacked if wiring.stacked else cfg, rng("encoder"))
     c_enc = net.encoder.out_channels
-
-    if family == "dscd-l":
+    if wiring.change == "cd":
         net.cd = CDBlock(c_enc, cd_width, cd_units, rng("cd"))
-        net.heads["s1"] = PixelClassifier(cd_width, n + 1, rng("head_s1"))
-        net.heads["s2"] = PixelClassifier(cd_width, n + 1, rng("head_s2"))
-        net._named = [("encoder", net.encoder), ("cd", net.cd),
-                      ("head.s1", net.heads["s1"]), ("head.s2", net.heads["s2"])]
-        return net
+    elif wiring.change == "change_encoder":
+        net.change_encoder = Encoder(stacked, rng("change_encoder"))
+    if wiring.attention:
+        net.sr = SiamSR(c_enc, reduction, rng("sr"))
+        net.cotsr = CotSR(c_enc, reduction, rng("cotsr"), shared=cotsr_shared)
 
-    net.heads["p1"] = PixelClassifier(c_enc, n, rng("head_p1"))
-    net.heads["p2"] = PixelClassifier(c_enc, n, rng("head_p2"))
-
-    if family == "sscd-e":
-        wide = EncoderConfig(6, cfg.stage_channels, cfg.strides, cfg.units_per_stage, cfg.norm)
-        net.change_encoder = Encoder(wide, rng("change_encoder"))
-        net.heads["c"] = PixelClassifier(c_enc, 1, rng("head_c"))
-        net._named = [("encoder", net.encoder), ("change_encoder", net.change_encoder),
-                      ("head.p1", net.heads["p1"]), ("head.p2", net.heads["p2"]),
-                      ("head.c", net.heads["c"])]
-        return net
-
-    net.cd = CDBlock(c_enc, cd_width, cd_units, rng("cd"))
-    net.heads["c"] = PixelClassifier(cd_width, 1, rng("head_c"))
-    if family == "sscd-l":
-        net._named = [("encoder", net.encoder), ("cd", net.cd),
-                      ("head.p1", net.heads["p1"]), ("head.p2", net.heads["p2"]),
-                      ("head.c", net.heads["c"])]
-        return net
-
-    net.sr = SiamSR(c_enc, reduction, rng("sr"))
-    net.cotsr = CotSR(c_enc, reduction, rng("cotsr"), shared=cotsr_shared)
-    net._named = [("encoder", net.encoder), ("sr", net.sr), ("cotsr", net.cotsr),
-                  ("cd", net.cd), ("head.p1", net.heads["p1"]),
-                  ("head.p2", net.heads["p2"]), ("head.c", net.heads["c"])]
+    c_change = cd_width if net.cd is not None else c_enc
+    n = num_classes
+    if wiring.joint:
+        shapes = {"s1": (c_change, n + 1), "s2": (c_change, n + 1)}
+    else:
+        shapes = {"p1": (c_enc, n), "p2": (c_enc, n), "c": (c_change, 1)}
+    for key, (c_in, c_out) in shapes.items():
+        net.heads[key] = PixelClassifier(c_in, c_out, rng(f"head_{key}"))
     return net

@@ -22,7 +22,7 @@ from .losses import (LossReport, change_loss, dense_cross_entropy,
                      semantic_consistency_loss, semantic_loss, total_loss)
 from .metrics import ConfusionMatrix, compute_report
 from .networks import mask_disagreement
-from .tensor import Tensor, add, backward, scale, zero_grads
+from .tensor import Tensor, backward, scale, zero_grads
 
 
 @dataclass
@@ -37,7 +37,7 @@ class TrainConfig:
     augment: bool = True
     sc_mode: str = "intent"
     sc_space: str = "prob"
-    use_sc: str = "auto"       # "auto": only the family with attention blocks adds the term
+    use_sc: str = "auto"       # "auto": only networks with attention blocks add the term
 
     def validate(self):
         if self.batch_size < 1 or self.epochs < 1:
@@ -84,34 +84,30 @@ def learning_rate(cfg, epoch):
 
 
 def sample_loss(net, pair, cfg):
-    """Forward one pair and route the loss terms for the network family."""
+    """Forward one pair and route the loss terms by the network's head layout."""
     t1, t2 = datamod.pair_tensors(pair)
     out = net.forward(t1, t2)
     l1m = pair.label1.astype(np.int64)
     l2m = pair.label2.astype(np.int64)
 
-    if net.family in ("dscd-e", "dscd-l"):
-        # these heads carry no-change as channel 0, so train them on the raw maps
+    lc = lsc = Tensor(0.0)
+    if out.c is None:
+        # joint heads carry no-change as channel 0, so train them on the raw maps
         l1 = dense_cross_entropy(out.p1, l1m)
         l2 = dense_cross_entropy(out.p2, l2m)
-        loss = scale(add(l1, l2), 0.5)
-        report = LossReport.from_terms(l1.item(), l2.item(), 0.0, 0.0,
-                                       sem_pixels=l1m.size, change_pixels=0)
-        return loss, report, out
-
-    change = pair.change_map.astype(np.int64)
-    l1 = semantic_loss(out.p1, l1m)
-    l2 = semantic_loss(out.p2, l2m)
-    lc = change_loss(out.c, change)
-    with_sc = cfg.use_sc == "on" or (cfg.use_sc == "auto" and net.family == "bisrnet")
-    if with_sc:
-        lsc = semantic_consistency_loss(out.p1, out.p2, change, cfg.sc_mode, cfg.sc_space)
+        sem_pixels, change_pixels = l1m.size, 0
     else:
-        lsc = Tensor(0.0)
+        change = pair.change_map.astype(np.int64)
+        l1 = semantic_loss(out.p1, l1m)
+        l2 = semantic_loss(out.p2, l2m)
+        lc = change_loss(out.c, change)
+        if cfg.use_sc == "on" or (cfg.use_sc == "auto" and net.cotsr is not None):
+            lsc = semantic_consistency_loss(out.p1, out.p2, change, cfg.sc_mode, cfg.sc_space)
+        sem_pixels = int((l1m >= 1).sum()) + int((l2m >= 1).sum())
+        change_pixels = change.size
     loss = total_loss(l1, l2, lc, lsc)
     report = LossReport.from_terms(l1.item(), l2.item(), lc.item(), lsc.item(),
-                                   sem_pixels=int((l1m >= 1).sum()) + int((l2m >= 1).sum()),
-                                   change_pixels=change.size)
+                                   sem_pixels=sem_pixels, change_pixels=change_pixels)
     return loss, report, out
 
 
@@ -166,6 +162,14 @@ def train(net, samples, cfg, log=None):
     return history
 
 
+def _merged_report(cm1, cm2, disagree):
+    """Merged report with the per-temporal breakdown and mean mask disagreement."""
+    report = compute_report(cm1.merge(cm2))
+    report.temporal = [compute_report(cm1), compute_report(cm2)]
+    report.mask_disagreement = float(np.mean(disagree)) if disagree else 0.0
+    return report
+
+
 def evaluate(net, samples, collect_predictions=False):
     """Forward every pair, accumulate one confusion matrix over both temporal
     maps, and report with the per-temporal breakdown attached."""
@@ -183,9 +187,7 @@ def evaluate(net, samples, collect_predictions=False):
         disagree.append(mask_disagreement(s1, s2))
         if collect_predictions:
             predictions.append((pair.stem, s1, s2))
-    report = compute_report(cm1.merge(cm2))
-    report.temporal = [compute_report(cm1), compute_report(cm2)]
-    report.mask_disagreement = float(np.mean(disagree)) if disagree else 0.0
+    report = _merged_report(cm1, cm2, disagree)
     report.params = net.count_params()
     if samples:
         report.flops = net.estimate_flops(samples[0].height, samples[0].width)
@@ -207,10 +209,7 @@ def evaluate_directories(pred_root, truth_root, n_classes):
         cm1.add(p1.astype(np.int64), t1.astype(np.int64))
         cm2.add(p2.astype(np.int64), t2.astype(np.int64))
         disagree.append(mask_disagreement(p1, p2))
-    report = compute_report(cm1.merge(cm2))
-    report.temporal = [compute_report(cm1), compute_report(cm2)]
-    report.mask_disagreement = float(np.mean(disagree)) if disagree else 0.0
-    return report
+    return _merged_report(cm1, cm2, disagree)
 
 
 def save_trained(net, path):

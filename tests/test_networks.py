@@ -99,6 +99,33 @@ def test_dscd_families_may_disagree():
         assert 0.0 <= mask_disagreement(out.s1, out.s2) <= 1.0
 
 
+LAYOUT = {
+    "dscd-e": ["encoder", "head.s1", "head.s2"],
+    "dscd-l": ["encoder", "cd", "head.s1", "head.s2"],
+    "sscd-e": ["encoder", "change_encoder", "head.p1", "head.p2", "head.c"],
+    "sscd-l": ["encoder", "cd", "head.p1", "head.p2", "head.c"],
+    "bisrnet": ["encoder", "sr", "cotsr", "cd", "head.p1", "head.p2", "head.c"],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parameter_layout_per_family(family):
+    # checkpoints store parameters by name in this order
+    net = tiny(family)
+    prefixes = []
+    for name, _ in net.named_parameters():
+        prefix = ".".join(name.split(".")[:2]) if name.startswith("head.") else name.split(".")[0]
+        if not prefixes or prefixes[-1] != prefix:
+            prefixes.append(prefix)
+    assert prefixes == LAYOUT[family]
+    n = net.num_classes
+    widths = {key: head.weight.shape[0] for key, head in net.heads.items()}
+    if family.startswith("dscd"):
+        assert widths == {"s1": n + 1, "s2": n + 1}
+    else:
+        assert widths == {"p1": n, "p2": n, "c": 1}
+
+
 def test_param_count_closed_form_sscd_l():
     net = tiny("sscd-l")
     encoder = (4 * 3 * 9 + 2 * 9 * 4 * 4) + 4 * 4 * 9 + 8 * 4 * 9
