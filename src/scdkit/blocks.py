@@ -6,9 +6,6 @@ same parameter tensors and gradient accumulation does the rest.  Convolutions
 inside blocks carry no bias; only the per-pixel classifier heads do.  Batch
 statistics degenerate at this scale, so normalization defaults to off; an
 optional learned per-channel affine (`norm="affine"`) can stand in for it.
-
-Every block reports its multiply-add count via `macs(h, w)` for the FLOP
-estimator (2 FLOPs per multiply-add, activations free).
 """
 
 from __future__ import annotations
@@ -81,9 +78,6 @@ class ResidualUnit:
             out += self.affine1.named_params(prefix + ".affine1")
             out += self.affine2.named_params(prefix + ".affine2")
         return out
-
-    def macs(self, h, w):
-        return 2 * 9 * self.channels * self.channels * h * w
 
 
 @dataclass
@@ -160,19 +154,6 @@ class Encoder:
                 out += unit.named_params(f"{stage}.unit{j}")
         return out
 
-    def macs(self, h, w):
-        total = 0
-        c_in = self.config.in_channels
-        for conv, stride, _, blocks in self.stages:
-            c_out = conv.shape[0]
-            h = (h + 2 - 3) // stride + 1
-            w = (w + 2 - 3) // stride + 1
-            total += 9 * c_in * c_out * h * w
-            for unit in blocks:
-                total += unit.macs(h, w)
-            c_in = c_out
-        return total
-
 
 class CDBlock:
     """Late-fusion change trunk: concat both branches, fuse by 1x1 conv, refine
@@ -181,8 +162,6 @@ class CDBlock:
     def __init__(self, in_channels, width, units, rng):
         if width < 1 or units < 0:
             raise ConfigError(f"cd block: bad width/units {width}/{units}")
-        self.in_channels = in_channels
-        self.width = width
         self.fuse = he_weights(rng, (width, 2 * in_channels, 1, 1), fan_in=2 * in_channels)
         self.units = [ResidualUnit(width, rng) for _ in range(units)]
 
@@ -200,12 +179,6 @@ class CDBlock:
             out += unit.named_params(f"{prefix}.unit{j}")
         return out
 
-    def macs(self, h, w):
-        total = 2 * self.in_channels * self.width * h * w
-        for unit in self.units:
-            total += unit.macs(h, w)
-        return total
-
 
 class _AttentionProjections:
     """Query/key/value 1x1 projections shared by both attention blocks.
@@ -219,9 +192,9 @@ class _AttentionProjections:
         if r < 1 or channels % r:
             raise ConfigError(f"attention: channel count {channels} not divisible by reduction {r}")
         self.channels = channels
-        self.reduced = channels // r
-        self.query = he_weights(rng, (self.reduced, channels), fan_in=channels)
-        self.key = he_weights(rng, (self.reduced, channels), fan_in=channels)
+        reduced = channels // r
+        self.query = he_weights(rng, (reduced, channels), fan_in=channels)
+        self.key = he_weights(rng, (reduced, channels), fan_in=channels)
         self.value = zero_weights((channels, channels))
 
     def attention(self, flat):
@@ -236,12 +209,6 @@ class _AttentionProjections:
     def named_params(self, prefix):
         return [(prefix + ".query", self.query), (prefix + ".key", self.key),
                 (prefix + ".value", self.value)]
-
-    def macs(self, positions):
-        proj = (2 * self.reduced + self.channels) * self.channels * positions
-        att = self.reduced * positions * positions
-        mix = self.channels * positions * positions
-        return proj + att + mix
 
 
 class SiamSR:
@@ -267,9 +234,6 @@ class SiamSR:
 
     def named_params(self, prefix):
         return self.proj.named_params(prefix)
-
-    def macs(self, h, w):
-        return self.proj.macs(h * w)
 
 
 class CotSR:
@@ -305,10 +269,6 @@ class CotSR:
             out += self.branch2.named_params(prefix + ".branch2")
         return out
 
-    def macs(self, h, w):
-        per_branch = self.branch1.macs(h * w)
-        return 2 * per_branch
-
 
 class PixelClassifier:
     """Per-pixel linear head (a 1x1 convolution with bias) emitting logits."""
@@ -329,9 +289,6 @@ class PixelClassifier:
 
     def named_params(self, prefix):
         return [(prefix + ".weight", self.weight), (prefix + ".bias", self.bias)]
-
-    def macs(self, h, w):
-        return self.in_channels * self.out_channels * h * w
 
 
 # ---------------------------------------------------------------------------

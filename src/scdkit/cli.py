@@ -20,8 +20,8 @@ import csv
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
-
 
 from . import checks, config as configmod, data as datamod
 from .blocks import restore_checkpoint
@@ -107,12 +107,9 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_trained(net, out / "checkpoint.bin")
-    with open(out / "loss_curve.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "l_sem1", "l_sem2", "l_change", "l_sc", "l_total"])
-        for i, r in enumerate(history):
-            writer.writerow([i, f"{r.l_sem1:.12g}", f"{r.l_sem2:.12g}",
-                             f"{r.l_change:.12g}", f"{r.l_sc:.12g}", f"{r.l_total:.12g}"])
+    terms = ("l_sem1", "l_sem2", "l_change", "l_sc", "l_total")
+    _write_csv(out / "loss_curve.csv", ("epoch",) + terms,
+               [[i] + [f"{getattr(r, t):.12g}" for t in terms] for i, r in enumerate(history)])
     report = evaluate(net, samples)
     (out / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -163,6 +160,8 @@ def cmd_gradcheck(args):
 def cmd_compare(args):
     settings = _settings(args)
     size = args.size if args.size is not None else settings.generate_size
+    if size < 1:
+        raise ConfigError(f"--size must be >= 1, got {size}")
     samples = datamod.load_dataset(args.data, settings.classes) if args.data else None
     rows = []
     csv_rows = []
@@ -196,9 +195,8 @@ def cmd_validate(args):
     warned = 0
     for stem in stems:
         try:
-            import warnings as _w
-            with _w.catch_warnings(record=True) as caught:
-                _w.simplefilter("always")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 pair = datamod.read_sample(args.data, stem, args.classes)
             for c in caught:
                 warned += 1

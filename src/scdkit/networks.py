@@ -32,7 +32,7 @@ import numpy as np
 from .blocks import (CDBlock, CotSR, Encoder, EncoderConfig, PixelClassifier,
                      SiamSR)
 from .errors import ConfigError, DimensionError
-from .tensor import (Tensor, concat_channels, stable_sigmoid,
+from .tensor import (Tensor, concat_channels, macs, stable_sigmoid,
                      upsample_bilinear, upsample_nearest)
 
 # Fixed per-component seed streams keep shared components bit-identical across
@@ -139,15 +139,13 @@ class Network:
 
     # -- parameters ---------------------------------------------------------
 
-    def _components(self):
+    def named_parameters(self):
         named = [(name, getattr(self, name)) for name in _COMPONENTS]
         named += [(f"head.{key}", head) for key, head in self.heads.items()]
-        return [(n, b) for n, b in named if b is not None]
-
-    def named_parameters(self):
         out = []
-        for name, block in self._components():
-            out += block.named_params(name)
+        for name, block in named:
+            if block is not None:
+                out += block.named_params(name)
         return out
 
     def parameters(self):
@@ -159,17 +157,13 @@ class Network:
     # -- flops --------------------------------------------------------------
 
     def estimate_flops(self, h, w):
-        """2 * multiply-adds of every conv/matmul at the given input size."""
-        if h % 8 or w % 8:
-            raise DimensionError(f"estimate_flops: spatial dims must be divisible by 8, got {h}x{w}")
-        fh, fw = h // 8, w // 8
-        # the shared encoder and the self-attention run once per image
-        passes = {"encoder": 1 if self.wiring.stacked else 2, "sr": 2}
-        macs = 0
-        for name, block in self._components():
-            size = (h, w) if name in ("encoder", "change_encoder") else (fh, fw)
-            macs += passes.get(name, 1) * block.macs(*size)
-        return 2 * macs
+        """2 * multiply-adds of every conv2d and matmul at the given input size
+        (activations free), counted on the graph of one forward pass on zero
+        images.  The cost is that of a forward pass, and grows with the size:
+        attention is quadratic in the number of positions."""
+        zeros = Tensor(np.zeros((3, h, w)))
+        # not the public `forward`: a tracer that wraps it may call this from inside
+        return 2 * macs(*(t for t in self._logits(zeros, zeros) if t is not None))
 
     # -- forward ------------------------------------------------------------
 
@@ -182,7 +176,15 @@ class Network:
             raise DimensionError("forward: inputs must be tensors (see data.image_to_tensor)")
         if i1.shape != i2.shape:
             raise DimensionError(f"forward: input shapes {i1.shape} and {i2.shape} differ")
+        p1, p2, c = self._logits(i1, i2)
+        if c is None:
+            return ForwardOutput(p1, p2, None,
+                                 np.argmax(p1.data, axis=0), np.argmax(p2.data, axis=0))
+        s1, s2 = mask_semantic(p1, p2, c, self.threshold)
+        return ForwardOutput(p1, p2, c, s1, s2)
 
+    def _logits(self, i1, i2):
+        """Upsampled logits (p1, p2, c) of one image pair; c is None for joint heads."""
         if self.wiring.stacked:
             f1 = f2 = self.encoder(concat_channels(i1, i2))
         else:
@@ -201,16 +203,10 @@ class Network:
         if "c" not in self.heads:
             # joint heads carry no-change as class 0 and read the trunk if there is one
             trunk = f1 if change is None else change
-            p1 = self._upsample(self.heads["s1"](trunk))
-            p2 = self._upsample(self.heads["s2"](trunk))
-            return ForwardOutput(p1, p2, None,
-                                 np.argmax(p1.data, axis=0), np.argmax(p2.data, axis=0))
-
-        p1 = self._upsample(self.heads["p1"](f1))
-        p2 = self._upsample(self.heads["p2"](f2))
-        c = self._upsample(self.heads["c"](change))
-        s1, s2 = mask_semantic(p1, p2, c, self.threshold)
-        return ForwardOutput(p1, p2, c, s1, s2)
+            return (self._upsample(self.heads["s1"](trunk)),
+                    self._upsample(self.heads["s2"](trunk)), None)
+        return (self._upsample(self.heads["p1"](f1)), self._upsample(self.heads["p2"](f2)),
+                self._upsample(self.heads["c"](change)))
 
 
 def build(family, num_classes=4, seed=0, encoder=None, cd_width=48, cd_units=6,

@@ -420,14 +420,15 @@ def row_bias(x, b):
 # backward pass
 
 
-def topo_order(root):
-    """Parents-first linearization of the graph reachable from `root`.
+def topo_order(*roots):
+    """Parents-first linearization of the graph reachable from `roots`.
 
-    Each tensor appears exactly once, after all of its parents.
+    Each tensor appears exactly once, after all of its parents, even when
+    several roots share a subgraph.
     """
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root, False) for root in roots]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -441,6 +442,25 @@ def topo_order(root):
             if id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def macs(*roots):
+    """Multiply-adds of every conv2d and matmul in the graph of `roots`.
+
+    A conv2d output element costs c_in*k*k multiply-adds and a matmul output
+    element costs the inner dimension; every other op counts as free.  A
+    subgraph shared between roots is counted once.  Ops whose operands all
+    lack `requires_grad` were pruned from the graph and are not seen.
+    """
+    total = 0
+    for node in topo_order(*roots):
+        op = node.op
+        if op == "conv2d":
+            kernel = node.parents[1]
+            total += node.size * (kernel.size // kernel.shape[0])
+        elif op == "matmul":
+            total += node.size * node.parents[0].shape[1]
+    return total
 
 
 def backward(loss):

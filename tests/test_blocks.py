@@ -10,7 +10,7 @@ from scdkit.blocks import (CDBlock, CotSR, Encoder, EncoderConfig,
                            he_weights, load_checkpoint, restore_checkpoint,
                            save_checkpoint, zero_weights)
 from scdkit.errors import ConfigError, DataError, DimensionError
-from scdkit.tensor import Tensor
+from scdkit.tensor import Tensor, macs
 
 
 def rng(seed=0):
@@ -35,7 +35,7 @@ def test_residual_unit_param_count_and_macs():
     named = unit.named_params("u")
     assert [n for n, _ in named] == ["u.conv1", "u.conv2"]
     assert sum(t.size for _, t in named) == 2 * 9 * 4 * 4
-    assert unit.macs(5, 7) == 2 * 9 * 4 * 4 * 5 * 7
+    assert macs(unit(Tensor(np.zeros((4, 5, 7))))) == 2 * 9 * 4 * 4 * 5 * 7
 
 
 def test_residual_unit_channel_check():
@@ -83,7 +83,7 @@ def test_encoder_macs_hand_computed():
     stage0 = 9 * 3 * 4 * 2 * 2
     # stride-2 conv on 2x2 lands on (2+2-3)//2+1 = 1, plus one unit there
     stage1 = 9 * 4 * 6 * 1 * 1 + 2 * 9 * 6 * 6 * 1 * 1
-    assert enc.macs(8, 8) == stage0 + stage1
+    assert macs(enc(Tensor(np.zeros((3, 8, 8))))) == stage0 + stage1
 
 
 def test_encoder_named_params_layout():
@@ -113,7 +113,8 @@ def test_cd_block_rejects_mismatched_branches():
 
 def test_cd_block_macs():
     cd = CDBlock(4, 3, 1, rng())
-    assert cd.macs(2, 2) == 2 * 4 * 3 * 4 + 2 * 9 * 3 * 3 * 4
+    x = Tensor(np.zeros((4, 2, 2)))
+    assert macs(cd(x, x)) == 2 * 4 * 3 * 4 + 2 * 9 * 3 * 3 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_siam_sr_params_and_macs():
     named = sr.named_params("sr")
     assert sum(t.size for _, t in named) == 2 * 4 * 8 + 8 * 8
     p = 5 * 5  # positions
-    assert sr.macs(5, 5) == (2 * 4 + 8) * 8 * p + 4 * p * p + 8 * p * p
+    assert macs(sr(Tensor(np.zeros((8, 5, 5))))) == (2 * 4 + 8) * 8 * p + 4 * p * p + 8 * p * p
 
 
 def test_cot_sr_zero_value_is_identity():

@@ -1,15 +1,19 @@
 """End-to-end command behavior: exit codes, artifacts, config plumbing."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from scdkit import checks
+from scdkit.blocks import EncoderConfig
 from scdkit.cli import main
 from scdkit.config import Settings, parse_config
 from scdkit.data import write_pgm
 from scdkit.errors import ConfigError
+from scdkit.networks import build
+from scdkit.train import TrainConfig
 
 
 TINY_CONFIG = """
@@ -93,6 +97,22 @@ def test_settings_round_trip_into_builders(cfg_file):
     settings.encoder_config().validate()
     settings.train_config().validate()
     assert settings.build_kwargs()["num_classes"] == 3
+
+
+def test_settings_defaults_match_the_builders():
+    # Settings repeats the defaults of TrainConfig, EncoderConfig and build
+    settings = Settings()
+    assert settings.train_config() == TrainConfig()
+    assert settings.encoder_config() == EncoderConfig()
+    kwargs = settings.build_kwargs()
+    defaults = inspect.signature(build).parameters
+    assert set(kwargs) == set(defaults) - {"family"}
+    for name, value in kwargs.items():
+        default = defaults[name].default
+        if name == "encoder":
+            assert default is None  # build reads None as EncoderConfig()
+            default = EncoderConfig()
+        assert value == default, name
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +234,13 @@ def test_gradcheck_exits_two_when_no_case_is_well_conditioned(monkeypatch, capsy
     monkeypatch.setattr(checks, "_RELU_MARGIN", np.inf)
     assert main(["gradcheck", "--seeds", "1"]) == 2
     assert "'attempts': 200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size,message", [("-8", "--size must be >= 1"),
+                                          ("0", "--size must be >= 1"), ("12", "divisible by 8")])
+def test_compare_rejects_bad_size(size, message, capsys):
+    assert main(["compare", "--size", size]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_compare_lists_all_families(cfg_file, capsys):

@@ -11,7 +11,7 @@ from scdkit.errors import ContractError, DimensionError
 from scdkit.tensor import (_SCATTER_MAX_ENTRIES, Tensor, _col2im_index, add,
                            backward, clip, concat_channels,
                            conv2d, div, grad_check, log, log_softmax_rows,
-                           matmul, mul, neg, relu, reshape, row_bias,
+                           macs, matmul, mul, neg, relu, reshape, row_bias,
                            row_scale, scale, sigmoid, softmax_rows, sqrt,
                            stable_sigmoid, sub, sum_all, sum_rows, topo_order,
                            transpose, upsample_bilinear, upsample_nearest,
@@ -239,6 +239,48 @@ def test_topo_order_parents_first_unique():
     for t in order:
         for p in t.parents:
             assert pos[id(p)] < pos[id(t)]
+
+
+def test_topo_order_of_several_roots_lists_shared_parent_once():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    shared = mul(x, x)
+    a, b = add(shared, x), relu(shared)
+    order = topo_order(a, b)
+    assert [id(t) for t in order].count(id(shared)) == 1
+    assert {id(t) for t in order} == {id(x), id(shared), id(a), id(b)}
+    pos = {id(t): i for i, t in enumerate(order)}
+    for t in order:
+        for p in t.parents:
+            assert pos[id(p)] < pos[id(t)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_macs_of_one_conv2d(k, stride):
+    c_in, c_out = 3, 5
+    x = Tensor(np.zeros((c_in, 7, 6)))
+    # an op whose operands need no gradient is pruned from the graph, uncounted
+    kernel = Tensor(np.zeros((c_out, c_in, k, k)), requires_grad=True)
+    out = conv2d(x, kernel, stride=stride, padding=k // 2)
+    _, oh, ow = out.shape
+    assert macs(out) == c_out * c_in * k * k * oh * ow
+
+
+def test_macs_of_one_matmul_and_free_ops():
+    a = Tensor(np.zeros((4, 6)), requires_grad=True)
+    b = Tensor(np.zeros((6, 3)))
+    assert macs(matmul(a, b)) == 4 * 6 * 3
+    assert macs(relu(transpose(matmul(a, b)))) == 4 * 6 * 3  # other ops are free
+    assert macs(a) == 0
+
+
+def test_macs_counts_a_reused_subgraph_once():
+    a = Tensor(np.zeros((4, 6)), requires_grad=True)
+    b = Tensor(np.zeros((6, 3)))
+    shared = matmul(a, b)
+    assert macs(add(shared, shared)) == 4 * 6 * 3
+    assert macs(shared, relu(shared)) == 4 * 6 * 3
+    assert macs(matmul(a, b), matmul(a, b)) == 2 * 4 * 6 * 3  # two ops, two counts
 
 
 def test_backward_of_sum_is_ones():
