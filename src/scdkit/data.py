@@ -83,11 +83,18 @@ def read_ppm(path):
     return _read_netpbm(path, b"P6", 3)
 
 
+def _as_uint8(arr, who):
+    """The raster as uint8; a value outside 0..255 (or NaN) raises instead of wrapping."""
+    if arr.size and not (arr.min() >= 0 and arr.max() <= 255):
+        raise DataError(f"{who}: values must lie in 0..255, found {arr.min()}..{arr.max()}")
+    return arr.astype(np.uint8)
+
+
 def write_pgm(path, arr):
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise DimensionError(f"write_pgm: expected an (h, w) array, got shape {arr.shape}")
-    data = arr.astype(np.uint8)
+    data = _as_uint8(arr, "write_pgm")
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -98,7 +105,7 @@ def write_ppm(path, arr):
     arr = np.asarray(arr)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise DimensionError(f"write_ppm: expected a (3, h, w) array, got shape {arr.shape}")
-    data = arr.astype(np.uint8)
+    data = _as_uint8(arr, "write_ppm")
     _, h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

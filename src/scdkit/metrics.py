@@ -48,19 +48,27 @@ class ConfusionMatrix:
             self.counts = counts.copy()
 
     def add(self, predicted, truth):
-        """Accumulate one predicted/truth map pair; returns self for chaining."""
+        """Accumulate one predicted/truth map pair; returns self for chaining.
+
+        The maps must be integer (or bool) arrays with labels in 0..N.  They
+        are counted as given: the joint code p*(N+1) + t is built in the
+        narrowest unsigned type that holds it (uint8 up to 15 classes).
+        """
         predicted = np.asarray(predicted)
         truth = np.asarray(truth)
         if predicted.shape != truth.shape:
             raise DimensionError(f"confusion matrix: map shapes {predicted.shape} and {truth.shape} differ")
-        p = predicted.reshape(-1).astype(np.int64)
-        t = truth.reshape(-1).astype(np.int64)
         side = self.n_classes + 1
-        for name, arr in (("predicted", p), ("truth", t)):
+        for name, arr in (("predicted", predicted), ("truth", truth)):
+            if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
+                raise DataError(f"confusion matrix: {name} labels must be integers, got dtype {arr.dtype}")
             if arr.size and (arr.min() < 0 or arr.max() >= side):
                 raise DataError(f"confusion matrix: {name} labels must lie in 0..{self.n_classes}, "
                                 f"found {arr.min()}..{arr.max()}")
-        binned = np.bincount(p * side + t, minlength=side * side)
+        code = predicted.astype(np.min_scalar_type(side * side - 1))
+        code *= side
+        np.add(code, truth, out=code, casting="unsafe")  # in range: checked above
+        binned = np.bincount(code.reshape(-1), minlength=side * side)
         self.counts += binned.reshape(side, side)
         return self
 

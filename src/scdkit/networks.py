@@ -120,7 +120,7 @@ def mask_disagreement(s1, s2):
     z2 = np.asarray(s2) == 0
     if z1.shape != z2.shape:
         raise DimensionError(f"mask_disagreement: shapes {z1.shape} and {z2.shape} differ")
-    return float((z1 != z2).mean()) if z1.size else 0.0
+    return np.count_nonzero(z1 != z2) / z1.size if z1.size else 0.0
 
 
 class Network:
@@ -136,6 +136,7 @@ class Network:
         self.cotsr = None
         self.cd = None
         self.heads = {}
+        self._flops = {}  # (h, w) -> estimate_flops, fixed by the structure
 
     # -- parameters ---------------------------------------------------------
 
@@ -160,10 +161,13 @@ class Network:
         """2 * multiply-adds of every conv2d and matmul at the given input size
         (activations free), counted on the graph of one forward pass on zero
         images.  The cost is that of a forward pass, and grows with the size:
-        attention is quadratic in the number of positions."""
-        zeros = Tensor(np.zeros((3, h, w)))
-        # not the public `forward`: a tracer that wraps it may call this from inside
-        return 2 * macs(*(t for t in self._logits(zeros, zeros) if t is not None))
+        attention is quadratic in the number of positions.  The count depends
+        only on the structure, so it is kept per (h, w) after the first call."""
+        if (h, w) not in self._flops:
+            zeros = Tensor(np.zeros((3, h, w)))
+            # not the public `forward`: a tracer that wraps it may call this from inside
+            self._flops[h, w] = 2 * macs(*(t for t in self._logits(zeros, zeros) if t is not None))
+        return self._flops[h, w]
 
     # -- forward ------------------------------------------------------------
 

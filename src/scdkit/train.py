@@ -182,8 +182,8 @@ def evaluate(net, samples, collect_predictions=False):
         out = net.forward(*datamod.pair_tensors(pair))
         s1, s2 = out.s1, out.s2
         del out  # frees this pair's graph before the next one is built
-        cm1.add(s1, pair.label1.astype(np.int64))
-        cm2.add(s2, pair.label2.astype(np.int64))
+        cm1.add(s1, pair.label1)
+        cm2.add(s2, pair.label2)
         disagree.append(mask_disagreement(s1, s2))
         if collect_predictions:
             predictions.append((pair.stem, s1, s2))
@@ -206,8 +206,8 @@ def evaluate_directories(pred_root, truth_root, n_classes):
         p1, p2 = datamod.read_prediction(pred_root, stem)
         t1 = datamod.read_pgm(f"{truth_root}/label1/{stem}.pgm")
         t2 = datamod.read_pgm(f"{truth_root}/label2/{stem}.pgm")
-        cm1.add(p1.astype(np.int64), t1.astype(np.int64))
-        cm2.add(p2.astype(np.int64), t2.astype(np.int64))
+        cm1.add(p1, t1)
+        cm2.add(p2, t2)
         disagree.append(mask_disagreement(p1, p2))
     return _merged_report(cm1, cm2, disagree)
 

@@ -3,13 +3,15 @@
 Examples are derandomized so every run checks the same inputs, no deadline
 is set so a slow shared host cannot fail a test, and no example database is
 kept.  Hypothesis still caches the constants it harvests from the source
-under its storage directory, so that directory is moved into pytest's
-temporary tree: the suite writes no `.hypothesis/` into the checkout.
+under its storage directory, so that directory is moved to a temporary one
+in `pytest_configure`.  That runs before collection, where a module-level
+`@given` already harvests, so the suite writes no `.hypothesis/` into the
+checkout.
 """
 
 import os
-
-import pytest
+import shutil
+import tempfile
 
 try:
     from hypothesis import settings
@@ -20,7 +22,15 @@ if settings is not None:
     settings.register_profile("scdkit", derandomize=True, deadline=None, database=None)
     settings.load_profile("scdkit")
 
+_storage = None
 
-@pytest.fixture(scope="session", autouse=True)
-def _hypothesis_storage(tmp_path_factory):
-    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = str(tmp_path_factory.mktemp("hypothesis"))
+
+def pytest_configure(config):
+    global _storage
+    _storage = tempfile.mkdtemp(prefix="scdkit-hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _storage
+
+
+def pytest_unconfigure(config):
+    if _storage is not None:
+        shutil.rmtree(_storage, ignore_errors=True)

@@ -84,6 +84,20 @@ def test_write_shape_validation(tmp_path):
         write_ppm(tmp_path / "x.ppm", np.zeros((4, 2, 2)))
 
 
+@pytest.mark.parametrize("writer,arr", [
+    (write_pgm, [[256, -1], [3, 300]]),  # stored as 0, 255, 3, 44 if cast
+    (write_pgm, np.array([[0, 1], [2, 256]])),
+    (write_pgm, np.array([[0.0, np.nan]])),
+    (write_ppm, np.full((3, 2, 2), -1)),
+    (write_ppm, np.full((3, 2, 2), 256)),
+])
+def test_write_rejects_values_outside_a_byte(tmp_path, writer, arr):
+    path = tmp_path / "x.pnm"
+    with pytest.raises(DataError, match="0..255"):
+        writer(path, arr)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample pairs
 

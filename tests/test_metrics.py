@@ -72,10 +72,45 @@ def test_add_validates_range_and_shape():
         cm.add(np.array([3]), np.array([0]))
     with pytest.raises(DataError):
         cm.add(np.array([0]), np.array([-1]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError):  # the shape is checked before the dtype
         cm.add(np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        cm.add(np.full((2, 2), np.nan), np.zeros((2, 3)))
     with pytest.raises(DataError):
         ConfusionMatrix(0)
+
+
+@pytest.mark.parametrize("n,pred_dtype,truth_dtype", [
+    (1, np.bool_, np.bool_),
+    (2, np.uint8, np.uint8),
+    (2, np.int64, np.int64),
+    (6, np.int64, np.uint8),   # a network's maps against labels read from disk
+    (6, np.int8, np.uint16),
+    (20, np.uint8, np.uint8),  # 21 * 21 codes no longer fit in uint8
+    (20, np.int64, np.uint8),
+])
+def test_add_counts_any_integer_dtype_like_the_oracle(n, pred_dtype, truth_dtype):
+    rng = np.random.default_rng(n)
+    p = rng.integers(0, n + 1, size=(16, 16))
+    t = rng.integers(0, n + 1, size=(16, 16))
+    p[0, 0] = t[0, 0] = n  # the largest joint code occurs
+    cm = ConfusionMatrix(n).add(p.astype(pred_dtype), t.astype(truth_dtype))
+    expect = np.bincount(p.reshape(-1) * (n + 1) + t.reshape(-1), minlength=(n + 1) ** 2)
+    np.testing.assert_array_equal(cm.counts, expect.reshape(n + 1, n + 1))
+    report_fields_equal(compute_report(cm), oracle_metrics([p], [t], n))
+
+
+@pytest.mark.parametrize("pred,truth", [
+    (np.zeros((2, 2)), np.zeros((2, 2), dtype=np.uint8)),
+    (np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.float32)),
+    (np.full((2, 2), np.nan), np.zeros((2, 2), dtype=np.uint8)),  # no label to cast to
+    (np.zeros((2, 2), dtype=np.uint8), np.full((2, 2), np.nan)),
+])
+def test_add_rejects_non_integer_maps(pred, truth):
+    cm = ConfusionMatrix(2)
+    with pytest.raises(DataError, match="integers"):
+        cm.add(pred, truth)
+    assert cm.total() == 0
 
 
 def test_merge_commutative_associative():

@@ -7,7 +7,7 @@ from scdkit.blocks import EncoderConfig
 from scdkit.data import make_pair
 from scdkit.errors import ConfigError, NumericFailure
 from scdkit.losses import LossReport
-from scdkit.networks import build
+from scdkit.networks import Network, build
 from scdkit.tensor import Tensor
 from scdkit.train import (NesterovSGD, TrainConfig, evaluate, learning_rate,
                           sample_loss, train)
@@ -222,6 +222,24 @@ def test_evaluate_report_structure():
     assert report.flops == net.estimate_flops(8, 8)
     assert report.mask_disagreement == 0.0  # zero sets shared by construction
     assert report.temporal[0].pixels == 128
+
+
+def test_evaluate_counts_flops_once_per_size(monkeypatch):
+    net = tiny_net()
+    calls = []
+    logits = Network._logits
+
+    def counted(self, i1, i2):
+        calls.append(i1.shape)
+        return logits(self, i1, i2)
+
+    monkeypatch.setattr(Network, "_logits", counted)
+    first = evaluate(net, tiny_samples(2))
+    assert len(calls) == 2 + 1  # one forward per pair, one for the FLOP count
+    assert evaluate(net, tiny_samples(2)).flops == first.flops
+    assert len(calls) == 3 + 2  # the count at 8x8 is kept
+    evaluate(net, tiny_samples(1, size=16))
+    assert calls[-2:] == [(3, 16, 16)] * 2  # another size counts again
 
 
 def test_evaluate_collects_predictions():
