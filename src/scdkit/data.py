@@ -84,9 +84,12 @@ def read_ppm(path):
 
 
 def _as_uint8(arr, who):
-    """The raster as uint8; a value outside 0..255 (or NaN) raises instead of wrapping."""
+    """The raster as uint8; a value outside 0..255 (or NaN) or a non-integer
+    dtype raises instead of wrapping or truncating."""
     if arr.size and not (arr.min() >= 0 and arr.max() <= 255):
         raise DataError(f"{who}: values must lie in 0..255, found {arr.min()}..{arr.max()}")
+    if arr.dtype != np.bool_ and not np.issubdtype(arr.dtype, np.integer):
+        raise DataError(f"{who}: values must be integers, got dtype {arr.dtype}")
     return arr.astype(np.uint8)
 
 

@@ -11,6 +11,7 @@ checkpoints bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .losses import (LossReport, change_loss, dense_cross_entropy,
                      semantic_consistency_loss, semantic_loss, total_loss)
 from .metrics import ConfusionMatrix, compute_report
 from .networks import mask_disagreement
-from .tensor import Tensor, backward, scale, zero_grads
+from .tensor import Tensor, zero_grads
 
 
 @dataclass
@@ -122,43 +123,67 @@ def _mean_report(reports):
         change_pixels=sum(r.change_pixels for r in reports))
 
 
+def _worker_count(batch_size):
+    """Training workers for batches of `batch_size`: one per core this process
+    may run on, at most one per sample."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, batch_size))
+
+
 def train(net, samples, cfg, log=None):
     """Run the full loop over in-memory samples; returns per-epoch reports.
 
-    Aborts with NumericFailure (plus a diagnostic snapshot) the moment a
-    non-finite loss shows up.
+    The per-sample forward and backward passes run in worker processes
+    (`scdkit.workers`), one per core of this process's CPU affinity and at
+    most `cfg.batch_size`.  The workers are started by the first call and
+    reused by later ones, and each runs its BLAS on one thread.  Per step this
+    process augments the batch, hands each worker a consecutive slice of it,
+    and sums the per-sample gradients in batch order: worker k adds its
+    samples' gradients, in order, onto worker k-1's partial sum.  That is the
+    order of the in-process `grad = g0; grad = grad + g1; ...`, so the
+    trained weights are the same bits for any worker count and any BLAS
+    thread count of the caller.  The optimizer step runs here.
+
+    Aborts with NumericFailure (plus a diagnostic snapshot) at the first
+    non-finite loss in batch order, before that batch's optimizer step; an
+    exception raised in a worker reaches the caller as it was raised.
     """
+    from . import workers  # on first use: importing it costs a fresh process ~10 ms
+
     cfg.validate()
     if not samples:
         raise ConfigError("train: dataset is empty")
     rng = np.random.default_rng(cfg.seed)
     opt = NesterovSGD(net.parameters(), cfg.momentum)
     history = []
-    for epoch in range(cfg.epochs):
-        lr = learning_rate(cfg, epoch)
-        order = rng.permutation(len(samples))
-        reports = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            opt.zero_grads()
-            for idx in batch:
-                pair = samples[int(idx)]
+    with workers.Session(net, cfg, _worker_count(cfg.batch_size)) as session:
+        for epoch in range(cfg.epochs):
+            lr = learning_rate(cfg, epoch)
+            order = rng.permutation(len(samples))
+            reports = []
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [samples[int(idx)] for idx in order[start:start + cfg.batch_size]]
                 if cfg.augment:
-                    pair = datamod.augment(pair, rng)
-                loss, report = sample_loss(net, pair, cfg)[:2]
-                if not math.isfinite(report.l_total):
-                    raise NumericFailure(
-                        f"non-finite loss at epoch {epoch}, sample {pair.stem}",
-                        snapshot={"epoch": epoch, "stem": pair.stem, "lr": lr,
-                                  "report": report})
-                backward(scale(loss, 1.0 / len(batch)))
-                del loss  # frees this sample's graph before the next one is built
-                reports.append(report)
-            opt.step(lr)
-        epoch_report = _mean_report(reports)
-        history.append(epoch_report)
-        if log is not None:
-            log(epoch_report.line(f"epoch {epoch:3d}  lr {lr:.5f}"))
+                    batch = [datamod.augment(pair, rng) for pair in batch]
+                done, error = session.losses(batch)
+                for pair, report in zip(batch, done):
+                    if not math.isfinite(report.l_total):
+                        raise NumericFailure(
+                            f"non-finite loss at epoch {epoch}, sample {pair.stem}",
+                            snapshot={"epoch": epoch, "stem": pair.stem, "lr": lr,
+                                      "report": report})
+                if error is not None:
+                    raise error
+                reports += done
+                session.gradients()
+                opt.step(lr)
+            epoch_report = _mean_report(reports)
+            history.append(epoch_report)
+            if log is not None:
+                log(epoch_report.line(f"epoch {epoch:3d}  lr {lr:.5f}"))
     return history
 
 

@@ -98,6 +98,24 @@ def test_write_rejects_values_outside_a_byte(tmp_path, writer, arr):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer,arr", [
+    (write_pgm, [[1.5, 2]]),  # stored as 1 and 2 if cast
+    (write_pgm, np.zeros((2, 2))),  # integral values, still a float map
+    (write_ppm, np.full((3, 2, 2), 7.9, dtype=np.float32)),
+])
+def test_write_rejects_non_integer_dtypes(tmp_path, writer, arr):
+    path = tmp_path / "x.pnm"
+    with pytest.raises(DataError, match="integers"):
+        writer(path, arr)
+    assert not path.exists()
+
+
+def test_write_accepts_bool_maps(tmp_path):
+    path = tmp_path / "x.pgm"
+    write_pgm(path, np.array([[True, False]]))
+    np.testing.assert_array_equal(read_pgm(path), [[1, 0]])
+
+
 # ---------------------------------------------------------------------------
 # sample pairs
 
