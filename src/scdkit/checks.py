@@ -5,6 +5,9 @@ differences) at small sizes, checking the gradient with respect to the block
 input and every parameter tensor.  Blocks are reduced to scalars through a
 fixed random readout so the checked gradients are generic.  Value
 projections are re-randomized because their zero init would hide errors.
+
+Each check runs on a worker process (`scdkit.workers`) that rebuilds its
+case from the seed, so the calling process only draws the configurations.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ _LOGIT_BOUND = 4.0
 
 def _draw_clear(make, attempts=200):
     """Call make(attempt) until the configuration is well-conditioned for
-    finite differences (clear of relu kinks, and any case-specific bound)."""
+    finite differences (clear of relu kinks, and any case-specific bound);
+    returns the accepted attempt and what make returned for it."""
     for attempt in range(attempts):
         built = make(attempt)
         if built.get("ok", True) and relu_margin(built["graph"]()) > _RELU_MARGIN:
-            return built
+            return attempt, built
     raise NumericFailure("could not find a well-conditioned configuration to gradient-check",
                          snapshot={"attempts": attempts})
 
@@ -59,13 +63,6 @@ def _draw_clear(make, attempts=200):
 def _readout(rng, shape):
     w = Tensor(rng.normal(0.0, 1.0, size=shape))
     return lambda t: sum_all(mul(t, w))
-
-
-def _check_params(results, name, build_graph, tensors, step=1e-3):
-    """grad_check the graph against each named tensor in turn."""
-    for suffix, t in tensors:
-        err = grad_check(lambda _t: build_graph(), t, step=step)
-        results.append((f"{name}[{suffix}]", err))
 
 
 def _peak_logit(proj, x):
@@ -144,50 +141,86 @@ _CASES = (("residual_unit", 11, _residual_unit),
           ("cot_sr", 15, _cot_sr))
 
 
+def _build(seed, case, attempt):
+    """Configuration `attempt` of `_CASES[case]` for `seed`."""
+    _, stream, make = _CASES[case]
+    return make(np.random.default_rng([seed, stream, attempt]))
+
+
+def _head_and_losses(seed):
+    """The classifier-head and loss checks of `seed` as (name, f, x), with
+    `grad_check(f, x)` the check; all are drawn from the [seed, 97] stream."""
+    rng = np.random.default_rng([seed, 97])
+    head = PixelClassifier(4, 3, rng)
+    xh = Tensor(rng.normal(0.0, 1.0, size=(4, 4, 4)))
+    outh = _readout(rng, (3, 4, 4))
+    head_checks = [(f"head_1x1[{suffix}]", lambda _t: outh(head(xh)), t)
+                   for suffix, t in (("input", xh), ("weight", head.weight), ("bias", head.bias))]
+
+    labels = rng.integers(0, 4, size=(4, 4))
+    p1 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
+    p2 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
+    dense = Tensor(rng.normal(0.0, 1.5, size=(5, 4, 4)))
+    cl = Tensor(rng.normal(0.0, 2.0, size=(4, 4)))
+    change = (labels != 0).astype(np.int64)
+
+    def combined(t):
+        return total_loss(semantic_loss(t, labels), semantic_loss(p2, labels),
+                          change_loss(cl, change),
+                          semantic_consistency_loss(t, p2, change))
+
+    return head_checks + [
+        ("semantic_loss", lambda t: semantic_loss(t, labels), p1),
+        ("dense_cross_entropy", lambda t: dense_cross_entropy(t, labels), dense),
+        ("change_loss", lambda t: change_loss(t, change), cl),
+        ("consistency_intent", lambda t: semantic_consistency_loss(t, p2, change), p1),
+        ("consistency_literal",
+         lambda t: semantic_consistency_loss(t, p2, change, mode="literal"), p1),
+        ("consistency_logit_space",
+         lambda t: semantic_consistency_loss(t, p2, change, space="logit"), p1),
+        ("total_loss", combined, p1)]
+
+
+def _run_check(seed, case, attempt, index):
+    """One check of the suite, rebuilt from plain data: `grad_check` of the
+    graph of `_build(seed, case, attempt)` against its `index`-th tensor, or,
+    with `case` None, the `index`-th of `_head_and_losses(seed)`."""
+    if case is None:
+        _, f, x = _head_and_losses(seed)[index]
+    else:
+        built = _build(seed, case, attempt)
+        f, x = (lambda _t: built["graph"]()), built["tensors"][index][1]
+    return grad_check(f, x)
+
+
 def gradient_suite(seeds=range(10)):
-    """Returns [(component name, max relative error)] across all seeds."""
-    results = []
-    for seed in seeds:
-        rng = np.random.default_rng([seed, 97])
-        tag = f"seed{seed}"
+    """Returns [(component name, max relative error)] across all seeds.
 
-        for name, stream, case in _CASES:
-            built = _draw_clear(lambda attempt: case(np.random.default_rng([seed, stream, attempt])))
-            _check_params(results, f"{tag}/{name}", built["graph"], built["tensors"])
+    The draws run in this process; every check is one task for the worker
+    pool (`scdkit.workers.starmap`), whose worker rebuilds the case from the
+    seed and the accepted attempt.  The results come back in suite order, so
+    the list does not depend on the worker count.
+    """
+    from . import workers  # on first use: importing it costs a fresh process ~10 ms
 
-        # classifier head
-        head = PixelClassifier(4, 3, rng)
-        xh = Tensor(rng.normal(0.0, 1.0, size=(4, 4, 4)))
-        outh = _readout(rng, (3, 4, 4))
-        _check_params(results, f"{tag}/head_1x1",
-                      lambda: outh(head(xh)),
-                      [("input", xh), ("weight", head.weight), ("bias", head.bias)])
-
-        # losses
-        labels = rng.integers(0, 4, size=(4, 4))
-        p1 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
-        p2 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
-        dense = Tensor(rng.normal(0.0, 1.5, size=(5, 4, 4)))
-        cl = Tensor(rng.normal(0.0, 2.0, size=(4, 4)))
-        change = (labels != 0).astype(np.int64)
-
-        def combined(t):
-            return total_loss(semantic_loss(t, labels), semantic_loss(p2, labels),
-                              change_loss(cl, change),
-                              semantic_consistency_loss(t, p2, change))
-
-        losses = (("semantic_loss", lambda t: semantic_loss(t, labels), p1),
-                  ("dense_cross_entropy", lambda t: dense_cross_entropy(t, labels), dense),
-                  ("change_loss", lambda t: change_loss(t, change), cl),
-                  ("consistency_intent", lambda t: semantic_consistency_loss(t, p2, change), p1),
-                  ("consistency_literal",
-                   lambda t: semantic_consistency_loss(t, p2, change, mode="literal"), p1),
-                  ("consistency_logit_space",
-                   lambda t: semantic_consistency_loss(t, p2, change, space="logit"), p1),
-                  ("total_loss", combined, p1))
-        for name, f, x in losses:
-            results.append((f"{tag}/{name}", grad_check(f, x)))
-    return results
+    names, tasks = [], []
+    failure = None
+    try:
+        for seed in seeds:
+            for case, (name, _, _) in enumerate(_CASES):
+                attempt, built = _draw_clear(lambda attempt: _build(seed, case, attempt))
+                for index, (suffix, _) in enumerate(built["tensors"]):
+                    names.append(f"seed{seed}/{name}[{suffix}]")
+                    tasks.append((seed, case, attempt, index))
+            for index, (name, _, _) in enumerate(_head_and_losses(seed)):
+                names.append(f"seed{seed}/{name}")
+                tasks.append((seed, None, None, index))
+    except Exception as e:  # raised after the checks drawn before it, as one loop would
+        failure = e
+    errors = workers.starmap(_run_check, tasks)
+    if failure is not None:
+        raise failure
+    return list(zip(names, errors))
 
 
 def worst(results):

@@ -61,10 +61,7 @@ def semantic_loss(logits, labels):
     count = int(mask.sum())
     if count == 0:
         return Tensor(0.0)
-    logp = log_softmax_rows(_pixels(logits))
-    onehot = np.zeros(logp.shape)
-    onehot[np.nonzero(mask)[0], flat[mask] - 1] = 1.0
-    return scale(sum_all(mul(logp, Tensor(onehot))), -1.0 / count)
+    return _mean_nll(logits, np.nonzero(mask)[0], flat[mask] - 1, count)
 
 
 def dense_cross_entropy(logits, labels):
@@ -75,10 +72,16 @@ def dense_cross_entropy(logits, labels):
     if labels.min() < 0 or labels.max() >= n:
         raise DataError(f"cross entropy: labels must lie in 0..{n - 1}, found {labels.min()}..{labels.max()}")
     flat = labels.reshape(-1)
+    return _mean_nll(logits, np.arange(flat.size), flat, flat.size)
+
+
+def _mean_nll(logits, pixels, classes, count):
+    """Negative log-softmax probability of class `classes[i]` at pixel
+    `pixels[i]`, summed over i and divided by `count`."""
     logp = log_softmax_rows(_pixels(logits))
     onehot = np.zeros(logp.shape)
-    onehot[np.arange(flat.size), flat] = 1.0
-    return scale(sum_all(mul(logp, Tensor(onehot))), -1.0 / flat.size)
+    onehot[pixels, classes] = 1.0
+    return scale(sum_all(mul(logp, Tensor(onehot))), -1.0 / count)
 
 
 def change_loss(logit, labels):

@@ -11,7 +11,6 @@ checkpoints bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,16 +122,6 @@ def _mean_report(reports):
         change_pixels=sum(r.change_pixels for r in reports))
 
 
-def _worker_count(batch_size):
-    """Training workers for batches of `batch_size`: one per core this process
-    may run on, at most one per sample."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, batch_size))
-
-
 def train(net, samples, cfg, log=None):
     """Run the full loop over in-memory samples; returns per-epoch reports.
 
@@ -159,7 +148,7 @@ def train(net, samples, cfg, log=None):
     rng = np.random.default_rng(cfg.seed)
     opt = NesterovSGD(net.parameters(), cfg.momentum)
     history = []
-    with workers.Session(net, cfg, _worker_count(cfg.batch_size)) as session:
+    with workers.Session(net, cfg, workers.worker_count(cfg.batch_size)) as session:
         for epoch in range(cfg.epochs):
             lr = learning_rate(cfg, epoch)
             order = rng.permutation(len(samples))

@@ -1,13 +1,19 @@
-"""Worker processes that run `train`'s per-sample forward and backward passes.
+"""Worker processes that run `train`'s per-sample forward and backward
+passes and the gradient suite's checks.
 
 Each worker is a fresh interpreter (`python -c "... serve()"`, started with
 the parent's `sys.path`) whose BLAS runs on one thread, so the bytes it
 computes depend on neither the worker count nor the caller's BLAS settings.
 Parent and worker exchange pickled messages over the worker's stdin and
 stdout; every request but `end` gets one reply, `(result, exception)`.
-Workers are started on first use and kept for later `Session`s; a worker
+Workers are started on first use and kept for later calls; a worker
 ignores SIGINT and exits when its stdin reaches end of file, so none
-outlives the parent.
+outlives the parent.  A caller interrupted while workers are busy kills
+them, and a worker found dead is replaced by the next call.
+
+`starmap` is the stateless request: it calls a module-level function on
+each task's arguments, dealing the tasks to the workers as each becomes
+free and returning the results in task order.
 
 One `Session` spans one `train` call.  One temporary file, which the
 workers map, holds the network's weights, written by the parent before
@@ -29,6 +35,7 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -41,7 +48,7 @@ from .tensor import Tensor, backward, scale, zero_grads
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _SHM = "/dev/shm"  # memory-backed where it exists; the map never touches a disk there
 
-_idle = []  # started workers not used by any session, reused first
+_idle = []  # started workers not in use, reused first
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +74,8 @@ class _Worker:
         try:
             return pickle.load(self.proc.stdout)
         except EOFError:
-            raise RuntimeError(f"training worker {self.proc.pid} exited "
-                              f"(code {self.proc.wait()})") from None
+            raise RuntimeError(f"scdkit worker {self.proc.pid} exited "
+                               f"(code {self.proc.wait()})") from None
 
     def close(self, kill=False):
         if kill:
@@ -85,8 +92,18 @@ class _Worker:
             self.proc.wait()
 
 
+def worker_count(tasks):
+    """Workers for `tasks` independent tasks: one per core this process may
+    run on, at most one per task."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, tasks))
+
+
 def _checkout(count):
-    """`count` live workers for one session's exclusive use."""
+    """`count` live workers for one caller's exclusive use."""
     taken = []
     while len(taken) < count:
         try:
@@ -108,6 +125,52 @@ def _close_idle():
         w = _idle.pop()
         if w.owner == os.getpid():
             w.close()
+
+
+def starmap(fn, tasks):
+    """`[fn(*task) for task in tasks]`, each call made on a worker under the
+    caller's floating-point error settings.  `fn` must be a module-level
+    function, since it is pickled by name, and every task a tuple of
+    picklable values.  The tasks go out in order on `worker_count(len(tasks))`
+    workers, each to the next worker that is free, and the results come back
+    in task order.  If calls raise, the exception of the first such task in
+    order reaches the caller once every task before it has finished."""
+    tasks = list(tasks)
+    results = [None] * len(tasks)
+    if not tasks:
+        return results
+    errstate = np.geterr()
+    pool = _checkout(worker_count(len(tasks)))
+    free = list(pool)
+    running = {}  # a busy worker's stdout -> (worker, task index)
+    failed = None  # (task index, exception) of the first failed task so far
+    sent = 0
+    try:
+        while True:
+            # every task before a failed one has gone out: tasks go out in order
+            while free and sent < len(tasks) and failed is None:
+                w = free.pop()
+                w.send("call", fn, tasks[sent], errstate)
+                running[w.proc.stdout] = (w, sent)
+                sent += 1
+            if not running:
+                break
+            for out in select.select(list(running), [], [])[0]:
+                w, i = running.pop(out)
+                result, error = w.recv()
+                free.append(w)
+                if error is None:
+                    results[i] = result
+                elif failed is None or i < failed[0]:
+                    failed = (i, error)
+    except BaseException:  # a worker may still owe a reply: none goes back to the pool
+        for w in pool:
+            w.close(kill=True)
+        raise
+    _idle.extend(pool)
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def _layout(shapes):
@@ -336,7 +399,11 @@ def serve():
             state = None  # drops the network and unmaps the session's file
             continue
         try:
-            if kind == "begin":
+            if kind == "call":
+                fn, call_args, errstate = args
+                with np.errstate(**errstate):
+                    result = fn(*call_args)
+            elif kind == "begin":
                 state = None
                 state = _State(*args)
                 result = None

@@ -1,4 +1,5 @@
-"""Shared test settings: one deterministic hypothesis profile for the suite.
+"""Shared test settings: one deterministic hypothesis profile for the suite,
+and the `worker_count` fixture that pins the worker pool's size.
 
 Examples are derandomized so every run checks the same inputs, no deadline
 is set so a slow shared host cannot fail a test, and no example database is
@@ -12,6 +13,8 @@ checkout.
 import os
 import shutil
 import tempfile
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -34,3 +37,14 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     if _storage is not None:
         shutil.rmtree(_storage, ignore_errors=True)
+
+
+@pytest.fixture
+def worker_count(monkeypatch):
+    """`worker_count(n)` makes every later pool call in the test use at most
+    n workers (and at most one per task)."""
+    from scdkit import workers
+
+    def set_count(count):
+        monkeypatch.setattr(workers, "worker_count", lambda tasks: min(count, tasks))
+    return set_count

@@ -83,8 +83,9 @@ def test_1_gradient_suite(capsys):
     elapsed = time.perf_counter() - t0
     peak = worst(results)
     ok = peak < 1e-4 and elapsed < 60.0
+    margin = 1e-4 / peak if peak else math.inf
     _verdict(capsys, 1, ok, f"gradient suite: {len(results)} checks, worst rel err "
-                    f"{peak:.3e} (< 1e-4), {elapsed:.1f}s (< 60s)")
+                    f"{peak:.3e} (< 1e-4, margin {margin:.2f}×), {elapsed:.1f}s (< 60s)")
 
 
 # ---------------------------------------------------------------------------

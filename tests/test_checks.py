@@ -1,9 +1,21 @@
-"""Gradient-suite plumbing: the redraw loop that picks well-conditioned cases."""
+"""Gradient-suite plumbing: the redraw loop that picks well-conditioned cases,
+and the checks run on the worker pool."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import scdkit
+from scdkit import checks, workers
 from scdkit.checks import _draw_clear
 from scdkit.errors import NumericFailure
+from scdkit.tensor import grad_check
+
+SRC = str(Path(scdkit.__file__).resolve().parent.parent)
 
 
 def test_draw_clear_gives_up_with_numeric_failure():
@@ -17,3 +29,94 @@ def test_draw_clear_gives_up_with_numeric_failure():
         _draw_clear(never_ok, attempts=5)
     assert calls == [0, 1, 2, 3, 4]
     assert info.value.snapshot == {"attempts": 5}
+
+
+def serial_suite(seeds):
+    """The in-process loop: each case drawn once and grad-checked against its
+    tensors in turn, then the head and loss checks of the seed."""
+    results = []
+    for seed in seeds:
+        for case, (name, _, _) in enumerate(checks._CASES):
+            _, built = _draw_clear(lambda attempt: checks._build(seed, case, attempt))
+            for suffix, t in built["tensors"]:
+                err = grad_check(lambda _t: built["graph"](), t)
+                results.append((f"seed{seed}/{name}[{suffix}]", err))
+        for name, f, x in checks._head_and_losses(seed):
+            results.append((f"seed{seed}/{name}", grad_check(f, x)))
+    return results
+
+
+def bits(results):
+    return [(name, err.hex()) for name, err in results]
+
+
+def test_suite_equals_serial_loop_for_any_worker_count(worker_count):
+    expected = bits(serial_suite(range(3)))
+    assert len(expected) == 3 * 33
+    for count in (1, 2, 3):
+        worker_count(count)
+        assert bits(checks.gradient_suite(range(3))) == expected, count
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    # every block task names attempt -1, which only the worker's rng rejects
+    monkeypatch.setattr(checks, "_draw_clear", lambda make, attempts=200: (-1, make(0)))
+    with pytest.raises(ValueError) as expected:
+        checks._build(0, 0, -1)
+    with pytest.raises(ValueError) as info:
+        checks.gradient_suite([0])
+    assert type(info.value) is type(expected.value)
+    assert str(info.value) == str(expected.value)
+    monkeypatch.undo()
+    results = checks.gradient_suite([0])
+    assert len(results) == 33 and checks.worst(results) < checks.THRESHOLD
+
+
+def test_pool_calls_run_under_the_callers_floating_point_error_settings():
+    with np.errstate(all="raise", under="ignore"):
+        assert workers.starmap(np.geterr, [()] * 3) == [np.geterr()] * 3
+    assert workers.starmap(np.geterr, [()] * 3) == [np.geterr()] * 3
+
+
+def test_a_worker_that_dies_during_a_call_is_replaced():
+    with pytest.raises(RuntimeError, match=r"exited \(code 3\)"):
+        workers.starmap(os._exit, [(3,)])
+    assert len(checks.gradient_suite([0])) == 33
+
+
+def test_an_interrupted_suite_kills_its_workers(monkeypatch):
+    workers._close_idle()
+    checks.gradient_suite([0])
+    procs = [w.proc for w in workers._idle]
+    assert procs
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(workers._Worker, "recv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        checks.gradient_suite([0])
+    assert all(p.returncode is not None for p in procs)
+    assert not workers._idle
+    monkeypatch.undo()
+    assert len(checks.gradient_suite([0])) == 33
+
+
+_HASH_CHILD = """
+import hashlib
+from scdkit.checks import gradient_suite
+print(hashlib.sha256(repr(gradient_suite(range(3))).encode()).hexdigest())
+"""
+
+
+def test_suite_results_do_not_depend_on_blas_threads():
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _HASH_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+    assert len(runs[0].strip()) == 64
+    assert runs[0] == runs[1]

@@ -34,13 +34,6 @@ def cfg(**over):
     return train_mod.TrainConfig(**base)
 
 
-@pytest.fixture
-def worker_count(monkeypatch):
-    def set_count(count):
-        monkeypatch.setattr(train_mod, "_worker_count", lambda batch_size: min(count, batch_size))
-    return set_count
-
-
 def serial_train(net, samples, c):
     """The in-process loop: per sample `backward(scale(loss, 1/len(batch)))`
     into `.grad`, then one optimizer step per batch, on the same rng."""
