@@ -41,19 +41,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+# flag -> the config key it overrides
+_FLAGS = {"seed": "train.seed", "family": "family", "classes": "classes",
+          "count": "generate.count", "size": "generate.size"}
+
+
 def _settings(args):
     settings = configmod.parse_config(args.config) if args.config else configmod.Settings()
-    if getattr(args, "seed", None) is not None:
-        settings.seed = args.seed
-    if getattr(args, "family", None) is not None:
-        settings.family = args.family
-    if getattr(args, "classes", None) is not None:
-        settings.classes = args.classes
+    for flag, key in _FLAGS.items():
+        if (value := getattr(args, flag, None)) is not None:
+            settings[key] = value
     return settings
 
 
 def _build_net(settings):
-    return build(settings.family, **settings.build_kwargs())
+    return build(settings["family"], **settings.build_kwargs())
 
 
 def _emit_report(args, report, human_prefix=""):
@@ -88,11 +90,11 @@ def _write_csv(target, header, rows):
 
 def cmd_generate(args):
     settings = _settings(args)
-    count = args.count if args.count is not None else settings.generate_count
-    size = args.size if args.size is not None else settings.generate_size
+    size = settings["generate.size"]
     stems = datamod.generate_synthetic(
-        args.out, seed=settings.seed, count=count, height=size, width=size,
-        n_classes=settings.classes, change_fraction=settings.generate_change_fraction)
+        args.out, seed=settings["train.seed"], count=settings["generate.count"],
+        height=size, width=size, n_classes=settings["classes"],
+        change_fraction=settings["generate.change_fraction"])
     print(f"wrote {len(stems)} pairs of size {size}x{size} to {args.out}")
     return 0
 
@@ -100,7 +102,7 @@ def cmd_generate(args):
 def cmd_train(args):
     settings = _settings(args)
     net = _build_net(settings)
-    samples = datamod.load_dataset(args.data, settings.classes)
+    samples = datamod.load_dataset(args.data, settings["classes"])
     cfg = settings.train_config()
     history = train(net, samples, cfg, log=print)
 
@@ -122,7 +124,7 @@ def cmd_evaluate(args):
     net = _build_net(settings)
     if args.ckpt:
         restore_checkpoint(args.ckpt, net.named_parameters())
-    samples = datamod.load_dataset(args.data, settings.classes)
+    samples = datamod.load_dataset(args.data, settings["classes"])
     if args.pred_out:
         report, predictions = evaluate(net, samples, collect_predictions=True)
         for stem, s1, s2 in predictions:
@@ -159,14 +161,14 @@ def cmd_gradcheck(args):
 
 def cmd_compare(args):
     settings = _settings(args)
-    size = args.size if args.size is not None else settings.generate_size
+    size = settings["generate.size"]
     if size < 1:
         raise ConfigError(f"--size must be >= 1, got {size}")
-    samples = datamod.load_dataset(args.data, settings.classes) if args.data else None
+    samples = datamod.load_dataset(args.data, settings["classes"]) if args.data else None
     rows = []
     csv_rows = []
     for family in FAMILIES:
-        settings.family = family
+        settings["family"] = family
         net = _build_net(settings)
         row = {"family": family, "params": net.count_params(),
                "flops": net.estimate_flops(size, size)}
@@ -221,10 +223,9 @@ def make_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", help="key = value settings file")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the configured seed")
+        p.add_argument("--seed", type=int, help="override the configured seed")
 
     p = sub.add_parser("generate", help="write a synthetic dataset",
                        epilog="config defaults:\n" + configmod.describe_defaults(),

@@ -328,6 +328,10 @@ def make_pair(stem, seed, height, width, n_classes, change_fraction):
         raise ConfigError(f"synthetic scenes support 2..{len(PALETTE)} classes, got {n_classes}")
     if not 0.0 < change_fraction < 1.0:
         raise ConfigError(f"changed fraction must lie in (0, 1), got {change_fraction}")
+    if height < 1 or width < 1:
+        raise ConfigError(f"synthetic pair size must be >= 1, got {height}x{width}")
+    if np.min(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     regions = []
@@ -362,6 +366,10 @@ def make_pair(stem, seed, height, width, n_classes, change_fraction):
 def generate_synthetic(root, seed=0, count=20, height=32, width=32, n_classes=4,
                        change_fraction=0.2):
     """Write `count` deterministic synthetic pairs under `root`; returns stems."""
+    if count < 1:
+        raise ConfigError(f"pair count must be >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     root = Path(root)
     stems = []
     for i in range(count):

@@ -223,6 +223,8 @@ def build(family, num_classes=4, seed=0, encoder=None, cd_width=48, cd_units=6,
         raise ConfigError(f"unknown upsample mode {upsample!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"mask threshold must lie in [0, 1], got {threshold}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = encoder or EncoderConfig()
     cfg.validate()
     if cfg.in_channels != 3:

@@ -42,12 +42,20 @@ class TrainConfig:
     def validate(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError(f"batch size and epochs must be >= 1, got {self.batch_size}/{self.epochs}")
-        if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
+        if not 0 < self.lr < math.inf or not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"bad lr/momentum {self.lr}/{self.momentum}")
+        if not math.isfinite(self.poly_power):
+            raise ConfigError(f"lr power must be finite, got {self.poly_power}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.schedule not in ("poly", "constant"):
             raise ConfigError(f"unknown lr schedule {self.schedule!r}")
         if self.use_sc not in ("auto", "on", "off"):
             raise ConfigError(f"loss.sc must be auto/on/off, got {self.use_sc!r}")
+        if self.sc_mode not in ("intent", "literal"):
+            raise ConfigError(f"loss.sc_mode must be intent/literal, got {self.sc_mode!r}")
+        if self.sc_space not in ("prob", "logit"):
+            raise ConfigError(f"loss.sc_space must be prob/logit, got {self.sc_space!r}")
 
 
 class NesterovSGD:

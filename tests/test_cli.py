@@ -2,6 +2,8 @@
 
 import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from scdkit import checks
 from scdkit.blocks import EncoderConfig
 from scdkit.cli import main
-from scdkit.config import Settings, parse_config
+from scdkit.config import _KEYS, Settings, parse_config
 from scdkit.data import write_pgm
 from scdkit.errors import ConfigError
 from scdkit.networks import build
@@ -53,10 +55,10 @@ def dataset(tmp_path, cfg_file):
 
 def test_parse_config_overrides_defaults(cfg_file):
     settings = parse_config(cfg_file)
-    assert settings.family == "sscd-l"
-    assert settings.encoder_channels == (4, 4, 8)
-    assert settings.epochs == 2
-    assert settings.momentum == Settings().momentum  # untouched key keeps default
+    assert settings["family"] == "sscd-l"
+    assert settings["encoder.channels"] == (4, 4, 8)
+    assert settings["train.epochs"] == 2
+    assert settings["train.momentum"] == Settings()["train.momentum"]  # untouched key keeps default
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -113,6 +115,17 @@ def test_settings_defaults_match_the_builders():
             assert default is None  # build reads None as EncoderConfig()
             default = EncoderConfig()
         assert value == default, name
+
+
+def test_readme_config_block_matches_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config files", 1)[1].split("```", 2)[1]
+    pairs = [segment.split(" = ", 1) for line in block.splitlines()
+             for segment in re.split(r"\s{2,}", line.split("#", 1)[0].strip()) if segment]
+    assert sorted(key for key, _ in pairs) == sorted(_KEYS)  # each key exactly once
+    defaults = Settings()
+    for key, text in pairs:
+        assert _KEYS[key][2](text) == defaults[key], key
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +254,40 @@ def test_gradcheck_exits_two_when_no_case_is_well_conditioned(monkeypatch, capsy
 def test_compare_rejects_bad_size(size, message, capsys):
     assert main(["compare", "--size", size]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("generate --size 0", "size must be >= 1"),
+    ("generate --count 0", "count must be >= 1"),
+    ("generate --count -2", "count must be >= 1"),
+    ("generate --seed -1", "seed must be >= 0"),
+    ("compare --seed -1", "seed must be >= 0"),
+    ("train --seed -1", "seed must be >= 0"),
+    ("evaluate --seed -1", "seed must be >= 0"),
+    ("generate --config {seed_cfg}", "seed must be >= 0"),
+    ("compare --config {seed_cfg}", "seed must be >= 0"),
+    ("train --config {seed_cfg}", "seed must be >= 0"),
+    ("evaluate --config {seed_cfg}", "seed must be >= 0"),
+])
+def test_rejects_out_of_range_size_count_and_seed(argv, message, dataset, tmp_path, capsys):
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("train.seed = -1\n")
+    command, *rest = argv.format(seed_cfg=seed_cfg).split()
+    out = tmp_path / "out"
+    paths = {"generate": ["--out", str(out)], "compare": [],
+             "train": ["--data", dataset, "--out", str(out)], "evaluate": ["--data", dataset]}
+    assert main([command, *rest, *paths[command]]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_nan_lr(dataset, tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_CONFIG.replace("train.lr = 0.05", "train.lr = nan"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", dataset, "--out", str(out)]) == 1
+    assert "bad lr" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_compare_lists_all_families(cfg_file, capsys):

@@ -112,6 +112,11 @@ def test_train_config_validation():
         quick_cfg(schedule="step").validate()
     with pytest.raises(ConfigError):
         quick_cfg(use_sc="maybe").validate()
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")},
+                {"poly_power": float("nan")}, {"poly_power": float("inf")},
+                {"sc_mode": "bogus"}, {"sc_space": "bogus"}, {"seed": -1}):
+        with pytest.raises(ConfigError):
+            quick_cfg(**bad).validate()
     quick_cfg().validate()
 
 
