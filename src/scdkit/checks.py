@@ -6,8 +6,9 @@ input and every parameter tensor.  Blocks are reduced to scalars through a
 fixed random readout so the checked gradients are generic.  Value
 projections are re-randomized because their zero init would hide errors.
 
-Each check runs on a worker process (`scdkit.workers`) that rebuilds its
-case from the seed, so the calling process only draws the configurations.
+Each case of each seed runs whole on a worker process (`scdkit.workers`):
+the worker draws it from the seed and checks all its tensors, so the
+calling process neither draws nor builds anything.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ _LOGIT_BOUND = 4.0
 def _draw_clear(make, attempts=200):
     """Call make(attempt) until the configuration is well-conditioned for
     finite differences (clear of relu kinks, and any case-specific bound);
-    returns the accepted attempt and what make returned for it."""
+    returns what make returned for the accepted attempt."""
     for attempt in range(attempts):
         built = make(attempt)
         if built.get("ok", True) and relu_margin(built["graph"]()) > _RELU_MARGIN:
-            return attempt, built
+            return built
     raise NumericFailure("could not find a well-conditioned configuration to gradient-check",
                          snapshot={"attempts": attempts})
 
@@ -181,46 +182,30 @@ def _head_and_losses(seed):
         ("total_loss", combined, p1)]
 
 
-def _run_check(seed, case, attempt, index):
-    """One check of the suite, rebuilt from plain data: `grad_check` of the
-    graph of `_build(seed, case, attempt)` against its `index`-th tensor, or,
-    with `case` None, the `index`-th of `_head_and_losses(seed)`."""
+def _run_case(seed, case):
+    """The checks of one case of `seed` as [(name, max relative error)]:
+    `_CASES[case]` drawn until clear and grad-checked against each of its
+    tensors, or, with `case` None, the head and loss checks."""
     if case is None:
-        _, f, x = _head_and_losses(seed)[index]
-    else:
-        built = _build(seed, case, attempt)
-        f, x = (lambda _t: built["graph"]()), built["tensors"][index][1]
-    return grad_check(f, x)
+        return [(f"seed{seed}/{name}", grad_check(f, x)) for name, f, x in _head_and_losses(seed)]
+    built = _draw_clear(lambda attempt: _build(seed, case, attempt))
+    return [(f"seed{seed}/{_CASES[case][0]}[{suffix}]", grad_check(lambda _t: built["graph"](), t))
+            for suffix, t in built["tensors"]]
 
 
 def gradient_suite(seeds=range(10)):
     """Returns [(component name, max relative error)] across all seeds.
 
-    The draws run in this process; every check is one task for the worker
-    pool (`scdkit.workers.starmap`), whose worker rebuilds the case from the
-    seed and the accepted attempt.  The results come back in suite order, so
-    the list does not depend on the worker count.
+    Every case of every seed, and the seed's head and loss checks together,
+    is one task for the worker pool (`scdkit.workers.starmap`).  The results
+    come back in suite order, and the first failing task's exception is
+    raised once every task before it has finished, as in one loop, so neither
+    depends on the worker count.
     """
     from . import workers  # on first use: importing it costs a fresh process ~10 ms
 
-    names, tasks = [], []
-    failure = None
-    try:
-        for seed in seeds:
-            for case, (name, _, _) in enumerate(_CASES):
-                attempt, built = _draw_clear(lambda attempt: _build(seed, case, attempt))
-                for index, (suffix, _) in enumerate(built["tensors"]):
-                    names.append(f"seed{seed}/{name}[{suffix}]")
-                    tasks.append((seed, case, attempt, index))
-            for index, (name, _, _) in enumerate(_head_and_losses(seed)):
-                names.append(f"seed{seed}/{name}")
-                tasks.append((seed, None, None, index))
-    except Exception as e:  # raised after the checks drawn before it, as one loop would
-        failure = e
-    errors = workers.starmap(_run_check, tasks)
-    if failure is not None:
-        raise failure
-    return list(zip(names, errors))
+    tasks = [(seed, case) for seed in seeds for case in (*range(len(_CASES)), None)]
+    return [result for results in workers.starmap(_run_case, tasks) for result in results]
 
 
 def worst(results):

@@ -37,7 +37,7 @@ def serial_suite(seeds):
     results = []
     for seed in seeds:
         for case, (name, _, _) in enumerate(checks._CASES):
-            _, built = _draw_clear(lambda attempt: checks._build(seed, case, attempt))
+            built = _draw_clear(lambda attempt: checks._build(seed, case, attempt))
             for suffix, t in built["tensors"]:
                 err = grad_check(lambda _t: built["graph"](), t)
                 results.append((f"seed{seed}/{name}[{suffix}]", err))
@@ -58,16 +58,24 @@ def test_suite_equals_serial_loop_for_any_worker_count(worker_count):
         assert bits(checks.gradient_suite(range(3))) == expected, count
 
 
-def test_worker_exception_reaches_the_caller(monkeypatch):
-    # every block task names attempt -1, which only the worker's rng rejects
-    monkeypatch.setattr(checks, "_draw_clear", lambda make, attempts=200: (-1, make(0)))
+def test_worker_exception_reaches_the_caller():
+    # the worker's rng rejects the negative seed of the first task
     with pytest.raises(ValueError) as expected:
-        checks._build(0, 0, -1)
+        checks._build(-1, 0, 0)
     with pytest.raises(ValueError) as info:
-        checks.gradient_suite([0])
+        checks.gradient_suite([-1])
     assert type(info.value) is type(expected.value)
     assert str(info.value) == str(expected.value)
-    monkeypatch.undo()
+    results = checks.gradient_suite([0])
+    assert len(results) == 33 and checks.worst(results) < checks.THRESHOLD
+
+
+def test_the_caller_draws_and_builds_no_case(monkeypatch):
+    def builds(*args, **kwargs):
+        raise AssertionError("the calling process built a case")
+
+    for name in ("_draw_clear", "_build", "_head_and_losses"):
+        monkeypatch.setattr(checks, name, builds)
     results = checks.gradient_suite([0])
     assert len(results) == 33 and checks.worst(results) < checks.THRESHOLD
 
