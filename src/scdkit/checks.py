@@ -6,12 +6,22 @@ input and every parameter tensor.  Blocks are reduced to scalars through a
 fixed random readout so the checked gradients are generic.  Value
 projections are re-randomized because their zero init would hide errors.
 
-Each case of each seed runs whole on a worker process (`scdkit.workers`):
-the worker draws it from the seed and checks all its tensors, so the
-calling process neither draws nor builds anything.
+Each block case of each seed runs whole on a worker process
+(`scdkit.workers`): the worker draws it from the seed and checks all its
+tensors.  Each head and loss check is a task of its own, whose worker draws
+the seed's head and loss tensors and runs that one check.  The calling
+process neither draws nor builds anything; it reads the number of tasks
+per seed from the `_CASES` and `_HEAD_AND_LOSSES` tables.
+
+`grad_check` records one graph per check, for the analytic gradient, and
+runs its finite differences under `tensor.no_grad()`; `_draw_clear` keeps
+building the graphs it walks for relu margins.
 """
 
 from __future__ import annotations
+
+import functools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -148,64 +158,82 @@ def _build(seed, case, attempt):
     return make(np.random.default_rng([seed, stream, attempt]))
 
 
+def _head_readout(d, _t):
+    return d.readout(d.head(d.xh))
+
+
+def _total_loss(d, t):
+    return total_loss(semantic_loss(t, d.labels), semantic_loss(d.p2, d.labels),
+                      change_loss(d.cl, d.change),
+                      semantic_consistency_loss(t, d.p2, d.change))
+
+
+# (result name, checked tensor, loss(draws, t)): one row per classifier-head
+# and loss check, in suite order.  `_head_and_losses` draws the tensors of
+# every row at once, and grad_check(lambda t: loss(draws, t), draws.<tensor>)
+# is the row's check.
+_HEAD_AND_LOSSES = (
+    ("head_1x1[input]", "xh", _head_readout),
+    ("head_1x1[weight]", "weight", _head_readout),
+    ("head_1x1[bias]", "bias", _head_readout),
+    ("semantic_loss", "p1", lambda d, t: semantic_loss(t, d.labels)),
+    ("dense_cross_entropy", "dense", lambda d, t: dense_cross_entropy(t, d.labels)),
+    ("change_loss", "cl", lambda d, t: change_loss(t, d.change)),
+    ("consistency_intent", "p1", lambda d, t: semantic_consistency_loss(t, d.p2, d.change)),
+    ("consistency_literal", "p1",
+     lambda d, t: semantic_consistency_loss(t, d.p2, d.change, mode="literal")),
+    ("consistency_logit_space", "p1",
+     lambda d, t: semantic_consistency_loss(t, d.p2, d.change, space="logit")),
+    ("total_loss", "p1", _total_loss))
+
+
 def _head_and_losses(seed):
-    """The classifier-head and loss checks of `seed` as (name, f, x), with
-    `grad_check(f, x)` the check; all are drawn from the [seed, 97] stream."""
+    """The head and loss checks of `seed` as (name, f, x), one per
+    `_HEAD_AND_LOSSES` row, with `grad_check(f, x)` the check; all are drawn
+    from the [seed, 97] stream."""
     rng = np.random.default_rng([seed, 97])
     head = PixelClassifier(4, 3, rng)
     xh = Tensor(rng.normal(0.0, 1.0, size=(4, 4, 4)))
-    outh = _readout(rng, (3, 4, 4))
-    head_checks = [(f"head_1x1[{suffix}]", lambda _t: outh(head(xh)), t)
-                   for suffix, t in (("input", xh), ("weight", head.weight), ("bias", head.bias))]
-
+    readout = _readout(rng, (3, 4, 4))
     labels = rng.integers(0, 4, size=(4, 4))
     p1 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
     p2 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
     dense = Tensor(rng.normal(0.0, 1.5, size=(5, 4, 4)))
     cl = Tensor(rng.normal(0.0, 2.0, size=(4, 4)))
-    change = (labels != 0).astype(np.int64)
-
-    def combined(t):
-        return total_loss(semantic_loss(t, labels), semantic_loss(p2, labels),
-                          change_loss(cl, change),
-                          semantic_consistency_loss(t, p2, change))
-
-    return head_checks + [
-        ("semantic_loss", lambda t: semantic_loss(t, labels), p1),
-        ("dense_cross_entropy", lambda t: dense_cross_entropy(t, labels), dense),
-        ("change_loss", lambda t: change_loss(t, change), cl),
-        ("consistency_intent", lambda t: semantic_consistency_loss(t, p2, change), p1),
-        ("consistency_literal",
-         lambda t: semantic_consistency_loss(t, p2, change, mode="literal"), p1),
-        ("consistency_logit_space",
-         lambda t: semantic_consistency_loss(t, p2, change, space="logit"), p1),
-        ("total_loss", combined, p1)]
+    d = SimpleNamespace(head=head, xh=xh, weight=head.weight, bias=head.bias,
+                        readout=readout, labels=labels, p1=p1, p2=p2, dense=dense,
+                        cl=cl, change=(labels != 0).astype(np.int64))
+    return [(name, functools.partial(loss, d), getattr(d, tensor))
+            for name, tensor, loss in _HEAD_AND_LOSSES]
 
 
-def _run_case(seed, case):
-    """The checks of one case of `seed` as [(name, max relative error)]:
-    `_CASES[case]` drawn until clear and grad-checked against each of its
-    tensors, or, with `case` None, the head and loss checks."""
-    if case is None:
-        return [(f"seed{seed}/{name}", grad_check(f, x)) for name, f, x in _head_and_losses(seed)]
-    built = _draw_clear(lambda attempt: _build(seed, case, attempt))
-    return [(f"seed{seed}/{_CASES[case][0]}[{suffix}]", grad_check(lambda _t: built["graph"](), t))
+def _run_task(seed, task):
+    """The results of task `task` of `seed` as [(name, max relative error)]:
+    for `task` < len(_CASES), that case drawn until clear and grad-checked
+    against each of its tensors; above, one `_HEAD_AND_LOSSES` check, drawn
+    with all the others and run alone."""
+    if task >= len(_CASES):
+        name, f, x = _head_and_losses(seed)[task - len(_CASES)]
+        return [(f"seed{seed}/{name}", grad_check(f, x))]
+    built = _draw_clear(lambda attempt: _build(seed, task, attempt))
+    return [(f"seed{seed}/{_CASES[task][0]}[{suffix}]", grad_check(lambda _t: built["graph"](), t))
             for suffix, t in built["tensors"]]
 
 
 def gradient_suite(seeds=range(10)):
     """Returns [(component name, max relative error)] across all seeds.
 
-    Every case of every seed, and the seed's head and loss checks together,
-    is one task for the worker pool (`scdkit.workers.starmap`).  The results
-    come back in suite order, and the first failing task's exception is
-    raised once every task before it has finished, as in one loop, so neither
-    depends on the worker count.
+    Each seed is 15 tasks for the worker pool (`scdkit.workers.starmap`):
+    one per block case and one per head or loss check, so the seed's
+    longest task is a block case, not the ten head and loss checks in a
+    row.  The results come back in suite order, and the first failing
+    task's exception is raised once every task before it has finished, as
+    in one loop, so neither depends on the worker count.
     """
     from . import workers  # on first use: importing it costs a fresh process ~10 ms
 
-    tasks = [(seed, case) for seed in seeds for case in (*range(len(_CASES)), None)]
-    return [result for results in workers.starmap(_run_case, tasks) for result in results]
+    tasks = [(seed, task) for seed in seeds for task in range(len(_CASES) + len(_HEAD_AND_LOSSES))]
+    return [result for results in workers.starmap(_run_task, tasks) for result in results]
 
 
 def worst(results):

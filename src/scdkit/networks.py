@@ -32,7 +32,7 @@ import numpy as np
 from .blocks import (CDBlock, CotSR, Encoder, EncoderConfig, PixelClassifier,
                      SiamSR)
 from .errors import ConfigError, DimensionError
-from .tensor import (Tensor, concat_channels, macs, stable_sigmoid,
+from .tensor import (Tensor, concat_channels, enable_grad, macs, stable_sigmoid,
                      upsample_bilinear, upsample_nearest)
 
 # Fixed per-component seed streams keep shared components bit-identical across
@@ -162,11 +162,14 @@ class Network:
         (activations free), counted on the graph of one forward pass on zero
         images.  The cost is that of a forward pass, and grows with the size:
         attention is quadratic in the number of positions.  The count depends
-        only on the structure, so it is kept per (h, w) after the first call."""
+        only on the structure, so it is kept per (h, w) after the first call.
+        The graph is recorded inside a `no_grad()` block too."""
         if (h, w) not in self._flops:
             zeros = Tensor(np.zeros((3, h, w)))
             # not the public `forward`: a tracer that wraps it may call this from inside
-            self._flops[h, w] = 2 * macs(*(t for t in self._logits(zeros, zeros) if t is not None))
+            with enable_grad():
+                logits = self._logits(zeros, zeros)
+            self._flops[h, w] = 2 * macs(*(t for t in logits if t is not None))
         return self._flops[h, w]
 
     # -- forward ------------------------------------------------------------

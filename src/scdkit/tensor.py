@@ -8,6 +8,13 @@ leaves (parameters and inputs) that require them; intermediate tensors never
 hold a `.grad`.  Repeated backward calls without `zero_grads` keep
 accumulating, which is what mini-batch loops rely on.
 
+Inside `no_grad()` no op records anything: each returns a plain tensor
+with no parents, computed by the same numpy calls, so the values are the
+same bits.  Code that only reads values (evaluation, the finite-difference
+evaluations of `grad_check`) skips the graph's bookkeeping that way;
+`enable_grad()` turns recording back on inside such a block, for code that
+walks the graph it builds.  The switch is one per process, not per thread.
+
 There is no implicit broadcasting: elementwise ops demand equal shapes, and
 the only scalar shortcut is `scale`.  Row-wise helpers (`row_scale`,
 `row_bias`, `sum_rows`) exist so blocks never have to broadcast silently.
@@ -15,6 +22,7 @@ the only scalar shortcut is `scale`.  Row-wise helpers (`row_scale`,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -58,9 +66,36 @@ class Tensor:
         return f"Tensor(shape={tuple(self.data.shape)}{flag})"
 
 
+# Whether ops record their parents and backward closures; set only by `_recording_as`.
+_recording = True
+
+
+@contextlib.contextmanager
+def _recording_as(flag):
+    global _recording
+    previous = _recording
+    _recording = flag
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
+def no_grad():
+    """Context manager inside which every op returns a plain tensor: no
+    parents, no backward closure, `requires_grad` False.  Blocks nest, and
+    each restores the state it found on exit, also when an exception leaves it."""
+    return _recording_as(False)
+
+
+def enable_grad():
+    """Context manager that records ops again, inside a `no_grad()` block too."""
+    return _recording_as(True)
+
+
 def _from_op(data, parents, backward_fn):
     # Subgraphs that cannot influence any gradient are pruned on the spot.
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
 
@@ -502,30 +537,45 @@ def grad_check(f, x, step=1e-3):
 
     `f` maps the leaf tensor `x` to a scalar tensor and must be deterministic.
     The error at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+
+    Only the first call of `f` records a graph, for the analytic gradient;
+    the 2 * x.size finite-difference calls run under `no_grad()`, since only
+    their values are read.  Each still runs all of `f`, so an op that drops a
+    parent shows up as a gap between the two gradients.  `x.data`,
+    `x.requires_grad` and the recording state are as the caller left them
+    when this returns or raises; `x.grad` is left None.
     """
     if x.backward_fn is not None:
         raise ContractError(f"grad_check: x must be a leaf tensor, got the output of {x.op}")
+    requires_grad = x.requires_grad
     x.requires_grad = True
     x.grad = None
-    out = f(x)
-    backward(out)
-    if x.grad is None:
-        analytic = np.zeros_like(x.data)
-    else:
-        analytic = x.grad.copy()
-    x.grad = None
+    try:
+        with enable_grad():
+            out = f(x)
+        backward(out)
+        if x.grad is None:
+            analytic = np.zeros_like(x.data)
+        else:
+            analytic = x.grad.copy()
+        x.grad = None
 
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f(x).item()
-        flat[i] = orig - step
-        fm = f(x).item()
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * step)
+        numeric = np.zeros_like(x.data)
+        flat = x.data.reshape(-1)
+        nflat = numeric.reshape(-1)
+        with no_grad():
+            for i in range(flat.size):
+                orig = flat[i]
+                try:
+                    flat[i] = orig + step
+                    fp = f(x).item()
+                    flat[i] = orig - step
+                    fm = f(x).item()
+                finally:
+                    flat[i] = orig
+                nflat[i] = (fp - fm) / (2.0 * step)
+    finally:
+        x.requires_grad = requires_grad
 
     err = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(err.max()) if err.size else 0.0

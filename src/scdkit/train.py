@@ -22,7 +22,7 @@ from .losses import (LossReport, change_loss, dense_cross_entropy,
                      semantic_consistency_loss, semantic_loss, total_loss)
 from .metrics import ConfusionMatrix, compute_report
 from .networks import mask_disagreement
-from .tensor import Tensor, zero_grads
+from .tensor import Tensor, no_grad, zero_grads
 
 
 @dataclass
@@ -194,16 +194,19 @@ def _merged_report(cm1, cm2, disagree):
 
 def evaluate(net, samples, collect_predictions=False):
     """Forward every pair, accumulate one confusion matrix over both temporal
-    maps, and report with the per-temporal breakdown attached."""
+    maps, and report with the per-temporal breakdown attached.  The forward
+    passes run under `no_grad()`: only their values are read, so no graph
+    is built."""
     n = net.num_classes
     cm1 = ConfusionMatrix(n)
     cm2 = ConfusionMatrix(n)
     disagree = []
     predictions = []
     for pair in samples:
-        out = net.forward(*datamod.pair_tensors(pair))
+        with no_grad():
+            out = net.forward(*datamod.pair_tensors(pair))
         s1, s2 = out.s1, out.s2
-        del out  # frees this pair's graph before the next one is built
+        del out  # frees this pair's logits before the next pair is forwarded
         cm1.add(s1, pair.label1)
         cm2.add(s2, pair.label2)
         disagree.append(mask_disagreement(s1, s2))

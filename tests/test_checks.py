@@ -80,6 +80,21 @@ def test_the_caller_draws_and_builds_no_case(monkeypatch):
     assert len(results) == 33 and checks.worst(results) < checks.THRESHOLD
 
 
+def test_each_head_and_loss_check_is_a_task_of_its_own(monkeypatch):
+    dealt = []
+    starmap = workers.starmap
+
+    def recorded(fn, tasks):
+        dealt.append(tasks)
+        return starmap(fn, tasks)
+
+    monkeypatch.setattr(workers, "starmap", recorded)
+    results = checks.gradient_suite([0])
+    assert len(dealt[0]) == len(checks._CASES) + len(checks._HEAD_AND_LOSSES) == 15
+    heads_and_losses = [name for name, _ in results[-len(checks._HEAD_AND_LOSSES):]]
+    assert heads_and_losses == [f"seed0/{name}" for name, _, _ in checks._HEAD_AND_LOSSES]
+
+
 def test_pool_calls_run_under_the_callers_floating_point_error_settings():
     with np.errstate(all="raise", under="ignore"):
         assert workers.starmap(np.geterr, [()] * 3) == [np.geterr()] * 3

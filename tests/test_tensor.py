@@ -4,18 +4,21 @@ The linear-algebra ops are checked against naive loop implementations, the
 backward pass against hand-derived gradients and central finite differences.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from scdkit import tensor
 from scdkit.errors import ContractError, DimensionError
 from scdkit.tensor import (_SCATTER_MAX_ENTRIES, Tensor, _col2im_index, add,
                            backward, clip, concat_channels,
-                           conv2d, div, grad_check, log, log_softmax_rows,
-                           macs, matmul, mul, neg, relu, reshape, row_bias,
-                           row_scale, scale, sigmoid, softmax_rows, sqrt,
-                           stable_sigmoid, sub, sum_all, sum_rows, topo_order,
-                           transpose, upsample_bilinear, upsample_nearest,
-                           zero_grads)
+                           conv2d, div, enable_grad, grad_check, log,
+                           log_softmax_rows, macs, matmul, mul, neg, no_grad,
+                           relu, reshape, row_bias, row_scale, scale, sigmoid,
+                           softmax_rows, sqrt, stable_sigmoid, sub, sum_all,
+                           sum_rows, topo_order, transpose, upsample_bilinear,
+                           upsample_nearest, zero_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +369,98 @@ def test_item_and_repr():
 
 
 # ---------------------------------------------------------------------------
+# recording switch
+
+
+def leaves():
+    """Fresh requires_grad leaves for `OPS`; the entries of `pos` are positive."""
+    rng = np.random.default_rng(40)
+
+    def leaf(shape, pos=False):
+        data = rng.uniform(0.5, 2.0, size=shape) if pos else rng.normal(size=shape)
+        return Tensor(data, requires_grad=True)
+
+    return {"m": leaf((3, 4)), "n": leaf((3, 4)), "pos": leaf((3, 4), pos=True),
+            "k4": leaf((4, 2)), "v": leaf(3), "x": leaf((2, 5, 5)), "y": leaf((1, 5, 5)),
+            "kernel": leaf((3, 2, 3, 3))}
+
+
+# one call of every op of the module on `leaves()`
+OPS = {
+    "add": lambda L: add(L["m"], L["n"]),
+    "sub": lambda L: sub(L["m"], L["n"]),
+    "mul": lambda L: mul(L["m"], L["n"]),
+    "div": lambda L: div(L["m"], L["pos"]),
+    "scale": lambda L: scale(L["m"], -0.3),
+    "neg": lambda L: neg(L["m"]),
+    "relu": lambda L: relu(L["m"]),
+    "sigmoid": lambda L: sigmoid(L["m"]),
+    "log": lambda L: log(L["pos"]),
+    "sqrt": lambda L: sqrt(L["pos"]),
+    "clip": lambda L: clip(L["m"], -0.5, 0.5),
+    "reshape": lambda L: reshape(L["m"], (4, 3)),
+    "transpose": lambda L: transpose(L["m"]),
+    "concat_channels": lambda L: concat_channels(L["x"], L["y"]),
+    "matmul": lambda L: matmul(L["m"], L["k4"]),
+    "conv2d": lambda L: conv2d(L["x"], L["kernel"], stride=2, padding=1),
+    "upsample_nearest": lambda L: upsample_nearest(L["x"], 2),
+    "upsample_bilinear": lambda L: upsample_bilinear(L["x"], 2),
+    "softmax_rows": lambda L: softmax_rows(L["m"]),
+    "log_softmax_rows": lambda L: log_softmax_rows(L["m"]),
+    "sum_all": lambda L: sum_all(L["m"]),
+    "sum_rows": lambda L: sum_rows(L["m"]),
+    "row_scale": lambda L: row_scale(L["m"], L["v"]),
+    "row_bias": lambda L: row_bias(L["m"], L["v"]),
+}
+NOT_OPS = {"stable_sigmoid", "topo_order", "macs", "backward", "zero_grads",
+           "grad_check", "no_grad", "enable_grad"}
+
+
+def test_ops_table_lists_every_op():
+    public = {name for name, fn in vars(tensor).items()
+              if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
+              and not name.startswith("_")}
+    assert public - NOT_OPS == set(OPS)
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_no_grad_gives_the_same_bytes_and_no_graph(name):
+    recorded = OPS[name](leaves())
+    assert recorded.requires_grad and recorded.parents
+    with no_grad():
+        plain = OPS[name](leaves())
+    assert plain.data.shape == recorded.data.shape
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    assert not plain.requires_grad
+    assert plain.parents == () and plain.backward_fn is None
+
+
+def test_no_grad_nests_and_restores_its_state_after_an_exception():
+    a = Tensor(np.ones(2), requires_grad=True)
+
+    def records():
+        return bool(add(a, a).parents)
+
+    assert records()
+    with no_grad():
+        with no_grad():
+            assert not records()
+        assert not records()
+        with enable_grad():
+            assert records()
+        assert not records()
+        with pytest.raises(ZeroDivisionError):
+            with enable_grad():
+                1 / 0
+        assert not records()
+    assert records()
+    with pytest.raises(ZeroDivisionError):
+        with no_grad():
+            1 / 0
+    assert records()
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 
@@ -374,6 +469,51 @@ def test_grad_check_linear_is_tight():
     w = Tensor(np.random.default_rng(9).normal(size=(3, 3)))
     x = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
     assert grad_check(lambda t: sum_all(mul(t, w)), x) < 1e-9
+
+
+def test_grad_check_records_a_graph_on_its_first_call_only():
+    x = Tensor(np.random.default_rng(11).normal(size=(2, 3)))
+    parents = []
+
+    def f(t):
+        out = sum_all(mul(t, t))
+        parents.append(out.parents)
+        return out
+
+    assert grad_check(f, x) < 1e-9
+    assert len(parents) == 1 + 2 * x.size
+    assert parents[0] and not any(parents[1:])
+    parents.clear()
+    with no_grad():  # the analytic gradient still gets its graph
+        assert grad_check(f, x) < 1e-9
+    assert parents[0] and not any(parents[1:])
+
+
+def test_grad_check_leaves_the_callers_state_as_it_found_it():
+    x = Tensor(np.random.default_rng(12).normal(size=(2, 3)))
+    data = x.data.copy()
+    grad_check(lambda t: sum_all(mul(t, t)), x)
+    assert x.requires_grad is False and x.grad is None
+    param = Tensor(x.data.copy(), requires_grad=True)
+    grad_check(lambda t: sum_all(mul(t, t)), param)
+    assert param.requires_grad is True
+
+    def fails_on(call):
+        calls = []
+
+        def f(t):
+            calls.append(t.data.copy())
+            if len(calls) == call:
+                raise FloatingPointError("f failed")
+            return sum_all(mul(t, t))
+        return f
+
+    for call in (1, 4):  # the analytic call, then a finite-difference call
+        with pytest.raises(FloatingPointError):
+            grad_check(fails_on(call), x)
+        assert x.requires_grad is False and x.grad is None
+        assert x.data.tobytes() == data.tobytes()
+        assert add(param, param).parents  # recording is on again
 
 
 def test_grad_check_rejects_non_leaf():

@@ -8,7 +8,7 @@ from scdkit.data import make_pair
 from scdkit.errors import ConfigError, NumericFailure
 from scdkit.losses import LossReport
 from scdkit.networks import Network, build
-from scdkit.tensor import Tensor
+from scdkit.tensor import Tensor, no_grad
 from scdkit.train import (NesterovSGD, TrainConfig, evaluate, learning_rate,
                           sample_loss, train)
 
@@ -245,6 +245,25 @@ def test_evaluate_counts_flops_once_per_size(monkeypatch):
     assert len(calls) == 3 + 2  # the count at 8x8 is kept
     evaluate(net, tiny_samples(1, size=16))
     assert calls[-2:] == [(3, 16, 16)] * 2  # another size counts again
+
+
+def test_evaluate_forwards_without_recording_a_graph(monkeypatch):
+    net = tiny_net()
+    outputs = []
+    forward = net.forward
+
+    def kept(i1, i2):
+        outputs.append(forward(i1, i2))
+        return outputs[-1]
+
+    monkeypatch.setattr(net, "forward", kept)
+    report = evaluate(net, tiny_samples(2))
+    assert len(outputs) == 2
+    for out in outputs:
+        for t in (out.p1, out.p2, out.c):
+            assert t.parents == () and not t.requires_grad
+    with no_grad():  # the FLOP count records its own graph
+        assert report.flops == tiny_net().estimate_flops(8, 8) > 0
 
 
 def test_evaluate_collects_predictions():
