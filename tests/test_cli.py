@@ -226,6 +226,20 @@ def test_metrics_perfect_when_pred_equals_truth(dataset, capsys):
     assert float(cells["f_scd"]) == 1.0
 
 
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_metrics_missing_label_file_exits_one(tmp_path, capsys, side):
+    roots = {"pred": tmp_path / "pred", "truth": tmp_path / "truth"}
+    for root in roots.values():
+        main(["generate", "--seed", "0", "--count", "2", "--size", "8", "--out", str(root)])
+    missing = roots[side] / "label2" / "000001.pgm"
+    missing.unlink()
+    capsys.readouterr()
+    assert main(["metrics", "--pred", str(roots["pred"]), "--truth", str(roots["truth"]),
+                 "--classes", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "missing" in err and str(missing) in err
+
+
 # ---------------------------------------------------------------------------
 # the rest of the surface
 

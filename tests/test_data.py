@@ -29,6 +29,23 @@ def test_ppm_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_ppm(path), arr)
 
 
+def test_readers_return_writable_c_contiguous_bytes(tmp_path):
+    write_pgm(tmp_path / "x.pgm", np.arange(12).reshape(3, 4))
+    write_ppm(tmp_path / "x.ppm", np.arange(36).reshape(3, 3, 4))
+    for arr in (read_pgm(tmp_path / "x.pgm"), read_ppm(tmp_path / "x.ppm")):
+        assert arr.dtype == np.uint8
+        assert arr.flags.c_contiguous and arr.flags.writeable
+        arr[0, 0] = 9  # callers may edit what they read
+
+
+@pytest.mark.parametrize("reader", [read_pgm, read_ppm])
+def test_missing_or_unreadable_file_is_data_error(tmp_path, reader):
+    for path in (tmp_path / "absent.pnm", tmp_path):  # no file; a directory
+        with pytest.raises(DataError, match="missing") as info:
+            reader(path)
+        assert str(path) in str(info.value)
+
+
 def test_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
     raster = bytes(range(6))

@@ -1,9 +1,10 @@
-"""Property test for the metric pipeline: splitting the maps changes nothing.
+"""Property tests for the metric pipeline.
 
 A random list of predicted/truth label maps is cut into consecutive splits
 at random points.  Merging the per-split confusion matrices must give the
 counts of one matrix over all maps, and the report of the merge must equal
-the per-pixel oracle.
+the per-pixel oracle.  Maps made of long runs of one joint code, as in
+unchanged land, must count as a plain bincount does.
 """
 
 import functools
@@ -58,5 +59,28 @@ def test_merged_splits_equal_one_matrix_and_the_oracle():
             assert (got is None) == (want is None), name
             if got is not None:
                 assert abs(got - want) <= 1e-12, f"{name}: {got!r} != {want!r}"
+
+    check()
+
+
+@st.composite
+def run_maps(draw):
+    """(n_classes, predicted, truth): runs of one (p, t) pair, 1 to 400 pixels long."""
+    n = draw(st.integers(1, 20))
+    runs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n), st.integers(1, 400)),
+                         max_size=8))
+    p, t, lengths = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    return n, np.repeat(p, lengths).astype(dtype), np.repeat(t, lengths).astype(dtype)
+
+
+def test_long_runs_count_like_a_bincount():
+    @given(run_maps())
+    def check(case):
+        n, p, t = case
+        side = n + 1
+        expect = np.bincount(p.astype(np.int64) * side + t, minlength=side * side)
+        counts = ConfusionMatrix(n).add(p, t).counts
+        np.testing.assert_array_equal(counts, expect.reshape(side, side))
 
     check()

@@ -80,21 +80,49 @@ def test_add_validates_range_and_shape():
         ConfusionMatrix(0)
 
 
-@pytest.mark.parametrize("n,pred_dtype,truth_dtype", [
-    (1, np.bool_, np.bool_),
-    (2, np.uint8, np.uint8),
-    (2, np.int64, np.int64),
-    (6, np.int64, np.uint8),   # a network's maps against labels read from disk
-    (6, np.int8, np.uint16),
-    (20, np.uint8, np.uint8),  # 21 * 21 codes no longer fit in uint8
-    (20, np.int64, np.uint8),
-])
-def test_add_counts_any_integer_dtype_like_the_oracle(n, pred_dtype, truth_dtype):
+# views of one 16x16 map; "single-run" replaces the map by a single joint code
+LAYOUTS = {
+    "contiguous": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[::3, ::2],
+    "empty": lambda a: a[:0],
+    "single-run": lambda a: np.full_like(a, a[0, 0]),
+}
+
+ADD_CASES = [
+    (1, np.bool_, np.bool_, "contiguous"),
+    (2, np.uint8, np.uint8, "contiguous"),
+    (2, np.int64, np.int64, "contiguous"),
+    (6, np.int64, np.uint8, "contiguous"),   # a network's maps against labels read from disk
+    (6, np.int8, np.uint16, "contiguous"),
+    (15, np.uint8, np.uint8, "contiguous"),  # the last class count with 256 codes or fewer
+    (16, np.uint8, np.uint8, "contiguous"),
+    (20, np.uint8, np.uint8, "contiguous"),
+    (20, np.int64, np.uint8, "contiguous"),
+    (255, np.uint8, np.uint8, "contiguous"),  # every uint8 label: 65 536 bins
+    (6, np.int64, np.uint8, "transposed"),
+    (6, np.uint8, np.int16, "strided"),
+    (6, np.uint8, np.uint8, "empty"),
+    (6, np.uint8, np.int64, "single-run"),
+]
+
+
+def _add_case_id(n, pred_dtype, truth_dtype, layout):
+    """Like "6-int64-uint8", with the layout appended unless it is contiguous."""
+    parts = [str(n), np.dtype(pred_dtype).name, np.dtype(truth_dtype).name]
+    return "-".join(parts if layout == "contiguous" else parts + [layout])
+
+
+@pytest.mark.parametrize("n,pred_dtype,truth_dtype,layout", ADD_CASES,
+                         ids=[_add_case_id(*case) for case in ADD_CASES])
+def test_add_counts_any_integer_dtype_like_the_oracle(n, pred_dtype, truth_dtype, layout):
     rng = np.random.default_rng(n)
     p = rng.integers(0, n + 1, size=(16, 16))
     t = rng.integers(0, n + 1, size=(16, 16))
     p[0, 0] = t[0, 0] = n  # the largest joint code occurs
-    cm = ConfusionMatrix(n).add(p.astype(pred_dtype), t.astype(truth_dtype))
+    view = LAYOUTS[layout]
+    cm = ConfusionMatrix(n).add(view(p.astype(pred_dtype)), view(t.astype(truth_dtype)))
+    p, t = view(p), view(t)
     expect = np.bincount(p.reshape(-1) * (n + 1) + t.reshape(-1), minlength=(n + 1) ** 2)
     np.testing.assert_array_equal(cm.counts, expect.reshape(n + 1, n + 1))
     report_fields_equal(compute_report(cm), oracle_metrics([p], [t], n))
