@@ -8,6 +8,12 @@ leaves (parameters and inputs) that require them; intermediate tensors never
 hold a `.grad`.  Repeated backward calls without `zero_grads` keep
 accumulating, which is what mini-batch loops rely on.
 
+A backward closure reads its operands' `.data` when it runs, not as they were
+during the forward pass: `mul` and `matmul` read the other operand, and
+`conv2d` rebuilds its patch matrix from its input instead of keeping it.  An
+operand must therefore not change between the forward and the backward pass;
+an optimizer updates parameters in place only after `backward` has returned.
+
 Inside `no_grad()` no op records anything: each returns a plain tensor
 with no parents, computed by the same numpy calls, so the values are the
 same bits.  Code that only reads values (evaluation, the finite-difference
@@ -94,10 +100,25 @@ def enable_grad():
 
 
 def _from_op(data, parents, backward_fn):
-    # Subgraphs that cannot influence any gradient are pruned on the spot.
-    if _recording and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
-    return Tensor(data)
+    """The tensor of an op's result: the same `np.ascontiguousarray` as
+    `Tensor.__init__`, without that call's keyword arguments, `bool` and
+    `tuple`.  Every result goes through the conversion, since a check for
+    data that needs none costs more than the conversion does."""
+    t = object.__new__(Tensor)
+    t.data = np.ascontiguousarray(data, dtype=np.float64)
+    t.grad = None
+    if _recording:
+        # Subgraphs that cannot influence any gradient are pruned on the spot.
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                t.parents = parents
+                t.backward_fn = backward_fn
+                return t
+    t.requires_grad = False
+    t.parents = ()
+    t.backward_fn = None
+    return t
 
 
 def _check_same_shape(op, a, b):
@@ -280,12 +301,20 @@ def _col2im(dcols, shape, k, stride, oh, ow):
 def conv2d(x, kernel, stride=1, padding=0):
     """2-D cross-correlation of a c_in*h*w map with a c_out*c_in*k*k kernel stack.
 
-    The forward pass is one GEMM on the im2col patch matrix.  In backward the
-    input gradient folds the patch-matrix gradient back onto the padded map
-    (col2im): one `np.bincount` scatter for small maps, k*k strided
-    slice-adds for large ones.  Both accumulate each position in the same
-    order, so the result is bit for bit the same on either side of the size
-    switch.
+    The forward pass is one GEMM on the im2col patch matrix, a (c_in*k*k,
+    oh*ow) copy of the input that is k*k times its size at stride 1.  The
+    matrix is a temporary: the graph keeps `x`, a parent anyway, and
+    backward rebuilds the matrix from `x.data` with the same pad and im2col
+    calls for the kernel gradient, so the bits are the same as from a kept
+    copy.  Backward therefore reads `x.data` as it is then (see the module
+    docstring).  An unpadded 1x1 stride-1 conv copies nothing: its patch
+    matrix is a view of `x.data`.
+
+    In backward the input gradient folds the patch-matrix gradient back onto
+    the padded map (col2im): one `np.bincount` scatter for small maps, k*k
+    strided slice-adds for large ones.  Both accumulate each position in the
+    same order, so the result is bit for bit the same on either side of the
+    size switch.
     """
     if x.data.ndim != 3:
         raise DimensionError(f"conv2d: expected c*h*w input, got shape {x.data.shape}")
@@ -308,21 +337,25 @@ def conv2d(x, kernel, stride=1, padding=0):
     if oh < 1 or ow < 1:
         raise DimensionError(f"conv2d: {h}x{w} input too small for k={kh}, padding={padding}")
 
-    if padding:
-        xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, stride, oh, ow)
+    padded = (c_in, h + 2 * padding, w + 2 * padding)
+
+    def patches():
+        if padding:
+            xp = np.zeros(padded)
+            xp[:, padding:padding + h, padding:padding + w] = x.data
+        else:
+            xp = x.data
+        return _im2col(xp, kh, stride, oh, ow)
+
     w2 = kernel.data.reshape(c_out, c_in * kh * kw)
-    out = (w2 @ cols).reshape(c_out, oh, ow)
+    out = (w2 @ patches()).reshape(c_out, oh, ow)
 
     def backward_fn(g):
         g2 = g.reshape(c_out, oh * ow)
-        gk = (g2 @ cols.T).reshape(kernel.data.shape) if kernel.requires_grad else None
+        gk = (g2 @ patches().T).reshape(kernel.data.shape) if kernel.requires_grad else None
         gx = None
         if x.requires_grad:
-            dxp = _col2im(w2.T @ g2, xp.shape, kh, stride, oh, ow)
+            dxp = _col2im(w2.T @ g2, padded, kh, stride, oh, ow)
             gx = dxp[:, padding:padding + h, padding:padding + w] if padding else dxp
         return gx, gk
 

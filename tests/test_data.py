@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scdkit.data import (AUGMENT_COUNT, SamplePair, augment, generate_synthetic,
+from scdkit.data import (AUGMENT_COUNT, SamplePair, _orient, augment, generate_synthetic,
                          image_to_tensor, list_stems, load_dataset, make_pair,
                          read_pgm, read_ppm, read_prediction, read_sample,
                          validate_pair, write_pgm, write_ppm, write_prediction,
@@ -285,6 +285,104 @@ def test_augment_does_not_mutate_input():
 
 def test_augment_count_is_six():
     assert AUGMENT_COUNT == 6
+
+
+def position_pair(h, w):
+    """A pair whose four rasters each encode every pixel's position in their
+    own way; at most 64 pixels, so every code fits a byte."""
+    pos = np.arange(h * w, dtype=np.uint8).reshape(h, w)
+    return SamplePair("p", np.stack([pos, pos + 64, pos + 128]),
+                      np.stack([255 - pos, 191 - pos, 127 - pos]), pos.copy(), 63 - pos)
+
+
+def positions(pair):
+    """The source position of every pixel, read from all four rasters; each
+    read must agree, or the rasters did not move together."""
+    im1, im2 = pair.image1.astype(np.int64), pair.image2.astype(np.int64)
+    reads = [pair.label1.astype(np.int64), 63 - pair.label2.astype(np.int64),
+             im1[0], im1[1] - 64, im1[2] - 128, 255 - im2[0], 191 - im2[1], 127 - im2[2]]
+    for read in reads[1:]:
+        np.testing.assert_array_equal(read, reads[0])
+    return reads[0].tobytes()
+
+
+def symmetries(h, w):
+    """Position maps of the symmetries of an h*w raster, from index
+    arithmetic alone: the four of a rectangle (flips of either axis), and
+    for a square also the four that swap the axes."""
+    i, j = np.indices((h, w))
+    maps = set()
+    for a, b in ((i, j), (j, i)) if h == w else ((i, j),):
+        for r in (a, h - 1 - a):
+            for c in (b, w - 1 - b):
+                maps.add((r * w + c).tobytes())
+    return maps
+
+
+def orient(pair, k):
+    return SamplePair(pair.stem, *(_orient(r, k) for r in
+                                   (pair.image1, pair.image2, pair.label1, pair.label2)))
+
+
+def raster_shapes(st):
+    side = st.integers(1, 8)
+    return st.one_of(side.map(lambda n: (n, n)),
+                     st.tuples(side, side).filter(lambda hw: hw[0] != hw[1]))
+
+
+def test_augment_orientations_obey_the_dihedral_laws():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.given(raster_shapes(hypothesis.strategies))
+    def check(shape):
+        h, w = shape
+        base = position_pair(h, w)
+        ks = range(AUGMENT_COUNT) if h == w else (0, 1, 2, 4)  # what augment draws from
+        at = {k: positions(orient(base, k)) for k in ks}
+        identity = positions(base)
+        # identity: orientation 0 is a copy that moves nothing, on either side
+        assert at[0] == identity
+        assert orient(base, 0).label1 is not base.label1
+        for k in ks:
+            assert positions(orient(orient(base, 0), k)) == at[k]
+            assert positions(orient(orient(base, k), 0)) == at[k]
+        # closure: two orientations compose to a symmetry of the raster, and
+        # they reach every one (a square's axis swaps too); the shape-preserving
+        # four of an oblong raster compose among themselves
+        composed = {positions(orient(orient(base, a), b)) for a in ks for b in ks}
+        assert set(at.values()) <= symmetries(h, w)
+        assert composed == symmetries(h, w)
+        if h != w:
+            assert composed == set(at.values())
+        # inverses: flips and the half turn undo themselves, quarter turns each other
+        for k in ks:
+            assert positions(orient(orient(base, k), {3: 5, 5: 3}.get(k, k))) == identity
+        # rotations: four quarter turns are the identity, two a half turn
+        if h == w:
+            turned = [base]
+            for _ in range(4):
+                turned.append(orient(turned[-1], 3))
+            assert [positions(t) for t in turned] == [identity, at[3], at[4], at[5], identity]
+
+    check()
+
+
+def test_augment_moves_all_four_rasters_by_one_symmetry():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seeds = st.integers(0, 2**32 - 1)
+
+    @hypothesis.given(raster_shapes(st), seeds, seeds)
+    def check(shape, s1, s2):
+        h, w = shape
+        base = position_pair(h, w)
+        once = augment(base, s1)
+        twice = augment(once, s2)
+        ks = range(AUGMENT_COUNT) if h == w else (0, 1, 2, 4)
+        assert positions(once) in {positions(orient(base, k)) for k in ks}
+        assert positions(twice) in symmetries(h, w)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ backward pass against hand-derived gradients and central finite differences.
 """
 
 import inspect
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,23 @@ def test_conv2d_gradients_are_exact_adjoints(size, stride, padding):
     value = float(np.vdot(out.data, g))
     assert float(np.vdot(x.data, x.grad)) == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert float(np.vdot(k.data, k.grad)) == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_recorded_conv2d_holds_less_than_its_patch_matrix():
+    # the graph keeps x and the kernel, which the caller holds anyway, and
+    # the output, not the 3x3 patch matrix nine times the size of x
+    rng = np.random.default_rng(12)
+    c_in, h, w = 8, 24, 24
+    x = Tensor(rng.normal(size=(c_in, h, w)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(1, c_in, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, kernel, stride=1, padding=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held < c_in * 9 * h * w * 8
 
 
 def test_conv2d_identity_kernel():
@@ -313,6 +332,18 @@ def test_repeated_backward_adds_linearly():
     np.testing.assert_array_equal(x.grad, np.full(3, 4.0))
     zero_grads([x])
     assert x.grad is None
+    # conv2d rebuilds its patch matrix in each backward call: the same bits each time
+    rng = np.random.default_rng(11)
+    for stride, padding, k in itertools.product((1, 2), (0, 1), (1, 3)):
+        x = Tensor(rng.normal(size=(3, 7, 6)), requires_grad=True)
+        kernel = Tensor(rng.normal(size=(2, 3, k, k)), requires_grad=True)
+        out = conv2d(x, kernel, stride=stride, padding=padding)
+        loss = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
+        backward(loss)
+        once = x.grad.copy(), kernel.grad.copy()
+        backward(loss)
+        for grad, first in zip((x.grad, kernel.grad), once):
+            assert grad.tobytes() == (2.0 * first).tobytes(), (stride, padding, k)
 
 
 def test_backward_sets_grad_on_leaves_only():
