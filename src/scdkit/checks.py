@@ -13,9 +13,12 @@ the seed's head and loss tensors and runs that one check.  The calling
 process neither draws nor builds anything; it reads the number of tasks
 per seed from the `_CASES` and `_HEAD_AND_LOSSES` tables.
 
+Each case is drawn once, wherever its relu pre-activations and attention
+logits fall: `grad_check` steps around relu kinks itself, shrinking the
+step of any coordinate whose x+h and x-h evaluations see a relu change
+state.
 `grad_check` records one graph per check, for the analytic gradient, and
-runs its finite differences under `tensor.no_grad()`; `_draw_clear` keeps
-building the graphs it walks for relu margins.
+runs its finite differences under `tensor.no_grad()`.
 """
 
 from __future__ import annotations
@@ -27,59 +30,16 @@ import numpy as np
 
 from .blocks import (CDBlock, CotSR, Encoder, EncoderConfig, PixelClassifier,
                      ResidualUnit, SiamSR)
-from .errors import NumericFailure
 from .losses import (change_loss, dense_cross_entropy,
                      semantic_consistency_loss, semantic_loss, total_loss)
-from .tensor import Tensor, grad_check, mul, sum_all, topo_order
+from .tensor import Tensor, grad_check, mul, sum_all
 
 THRESHOLD = 1e-4
-
-# Finite differences are only meaningful at differentiable points: a relu
-# whose pre-activation sits within the step of zero flips state between the
-# two evaluations and poisons the numeric estimate.  Components containing
-# relus are therefore redrawn until every pre-activation clears this margin.
-_RELU_MARGIN = 2e-2
-
-
-def relu_margin(root):
-    """Smallest |pre-activation| over all relu nodes reachable from `root`."""
-    margin = np.inf
-    for node in topo_order(root):
-        if node.op == "relu":
-            pre = np.abs(node.parents[0].data)
-            if pre.size:
-                margin = min(margin, float(pre.min()))
-    return margin
-
-
-# Saturated softmax rows are the smooth analogue of the relu kink: gradients
-# underflow towards zero while the finite-difference truncation error does
-# not, so relative errors explode.  Attention cases are redrawn until their
-# logits stay moderate.
-_LOGIT_BOUND = 4.0
-
-
-def _draw_clear(make, attempts=200):
-    """Call make(attempt) until the configuration is well-conditioned for
-    finite differences (clear of relu kinks, and any case-specific bound);
-    returns what make returned for the accepted attempt."""
-    for attempt in range(attempts):
-        built = make(attempt)
-        if built.get("ok", True) and relu_margin(built["graph"]()) > _RELU_MARGIN:
-            return built
-    raise NumericFailure("could not find a well-conditioned configuration to gradient-check",
-                         snapshot={"attempts": attempts})
 
 
 def _readout(rng, shape):
     w = Tensor(rng.normal(0.0, 1.0, size=shape))
     return lambda t: sum_all(mul(t, w))
-
-
-def _peak_logit(proj, x):
-    """Largest |query-key logit| of one attention projection over the map `x`."""
-    flat = x.data.reshape(x.shape[0], -1)
-    return float(np.abs((proj.query.data @ flat).T @ (proj.key.data @ flat)).max())
 
 
 def _residual_unit(r):
@@ -120,7 +80,6 @@ def _siam_sr(r):
     x = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
     out = _readout(r, (4, 3, 3))
     return {"graph": lambda: out(sr(x)),
-            "ok": _peak_logit(sr.proj, x) <= _LOGIT_BOUND,
             "tensors": [("input", x), ("query", sr.proj.query),
                         ("key", sr.proj.key), ("value", sr.proj.value)]}
 
@@ -137,14 +96,13 @@ def _cot_sr(r):
         y1, y2 = cot(x1, x2)
         return sum_all(mul(out(y1), out(y2)))
 
-    peak = max(_peak_logit(cot.branch1, x1), _peak_logit(cot.branch2, x2))
-    return {"graph": graph, "ok": peak <= _LOGIT_BOUND,
+    return {"graph": graph,
             "tensors": [("x1", x1), ("x2", x2), ("query", cot.branch1.query),
                         ("key", cot.branch1.key), ("value", cot.branch1.value)]}
 
 
 # (result name, rng stream, builder): each builder draws one configuration
-# from the rng it is given, which `_draw_clear` redraws per attempt.
+# from the rng it is given.
 _CASES = (("residual_unit", 11, _residual_unit),
           ("encoder_stage", 12, _encoder_stage),
           ("cd_block", 13, _cd_block),
@@ -152,10 +110,12 @@ _CASES = (("residual_unit", 11, _residual_unit),
           ("cot_sr", 15, _cot_sr))
 
 
-def _build(seed, case, attempt):
-    """Configuration `attempt` of `_CASES[case]` for `seed`."""
+def _build(seed, case):
+    """The configuration of `_CASES[case]` for `seed`, drawn from the
+    [seed, stream, 0] stream (the trailing 0 keeps the draws, and so the
+    results, of earlier versions of the suite)."""
     _, stream, make = _CASES[case]
-    return make(np.random.default_rng([seed, stream, attempt]))
+    return make(np.random.default_rng([seed, stream, 0]))
 
 
 def _head_readout(d, _t):
@@ -209,13 +169,13 @@ def _head_and_losses(seed):
 
 def _run_task(seed, task):
     """The results of task `task` of `seed` as [(name, max relative error)]:
-    for `task` < len(_CASES), that case drawn until clear and grad-checked
-    against each of its tensors; above, one `_HEAD_AND_LOSSES` check, drawn
-    with all the others and run alone."""
+    for `task` < len(_CASES), that case drawn and grad-checked against each
+    of its tensors; above, one `_HEAD_AND_LOSSES` check, drawn with all the
+    others and run alone."""
     if task >= len(_CASES):
         name, f, x = _head_and_losses(seed)[task - len(_CASES)]
         return [(f"seed{seed}/{name}", grad_check(f, x))]
-    built = _draw_clear(lambda attempt: _build(seed, task, attempt))
+    built = _build(seed, task)
     return [(f"seed{seed}/{_CASES[task][0]}[{suffix}]", grad_check(lambda _t: built["graph"](), t))
             for suffix, t in built["tensors"]]
 

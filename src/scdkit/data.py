@@ -152,28 +152,6 @@ class SamplePair:
         return (self.label1 != 0).astype(np.uint8)
 
 
-def validate_pair(pair, n_classes=None):
-    """Collect contract violations of one pair; zero-set mismatch is included
-    here but treated as a warning by the loaders."""
-    issues = []
-    shape = pair.label1.shape
-    if pair.label2.shape != shape:
-        issues.append(f"{pair.stem}: label maps {shape} vs {pair.label2.shape}")
-    for name, img in (("im1", pair.image1), ("im2", pair.image2)):
-        if img.shape != (3,) + shape:
-            issues.append(f"{pair.stem}: {name} shape {img.shape} does not match labels {shape}")
-    if n_classes is not None:
-        for name, lab in (("label1", pair.label1), ("label2", pair.label2)):
-            top = int(lab.max()) if lab.size else 0
-            if top > n_classes:
-                issues.append(f"{pair.stem}: {name} holds class {top}, expected at most {n_classes}")
-    if pair.label2.shape == shape:
-        mismatch = int(((pair.label1 == 0) != (pair.label2 == 0)).sum())
-        if mismatch:
-            issues.append(f"{pair.stem}: zero sets of the label maps differ at {mismatch} pixel(s)")
-    return issues
-
-
 def read_sample(root, stem, n_classes=None):
     root = Path(root)
     paths = {

@@ -20,6 +20,8 @@ same bits.  Code that only reads values (evaluation, the finite-difference
 evaluations of `grad_check`) skips the graph's bookkeeping that way;
 `enable_grad()` turns recording back on inside such a block, for code that
 walks the graph it builds.  The switch is one per process, not per thread.
+So is the mask list through which `grad_check` sees the relus of its
+finite-difference evaluations, to step around their kinks.
 
 There is no implicit broadcasting: elementwise ops demand equal shapes, and
 the only scalar shortcut is `scale`.  Row-wise helpers (`row_scale`,
@@ -33,7 +35,7 @@ import functools
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericFailure
 
 
 class Tensor:
@@ -160,8 +162,15 @@ def neg(a):
     return scale(a, -1.0)
 
 
+# The list `relu` appends each mask it computes to while `grad_check` runs
+# its finite differences; None the rest of the time.  Set only by `grad_check`.
+_relu_masks = None
+
+
 def relu(a):
     mask = a.data > 0.0  # gradient at exactly zero is defined as zero
+    if _relu_masks is not None:
+        _relu_masks.append(mask)
     return _from_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
@@ -565,6 +574,10 @@ def zero_grads(tensors):
         t.grad = None
 
 
+# How often `grad_check` divides one coordinate's step by 4 before it gives up.
+_MAX_SHRINKS = 8
+
+
 def grad_check(f, x, step=1e-3):
     """Worst relative error between analytic and central-difference gradients.
 
@@ -572,12 +585,23 @@ def grad_check(f, x, step=1e-3):
     The error at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
 
     Only the first call of `f` records a graph, for the analytic gradient;
-    the 2 * x.size finite-difference calls run under `no_grad()`, since only
-    their values are read.  Each still runs all of `f`, so an op that drops a
-    parent shows up as a gap between the two gradients.  `x.data`,
-    `x.requires_grad` and the recording state are as the caller left them
-    when this returns or raises; `x.grad` is left None.
+    the finite-difference calls run under `no_grad()`, since only their
+    values are read.  Each still runs all of `f`, so an op that drops a
+    parent shows up as a gap between the two gradients.
+
+    A central difference across a relu kink measures neither side's slope,
+    so the x+h and x-h calls collect the masks of every relu they run.
+    Where the two calls' masks differ, that coordinate's step is divided by
+    4 and both calls run again; when the masks still differ after
+    `_MAX_SHRINKS` shrinks, `NumericFailure` names the coordinate and its
+    last step.  A coordinate whose masks agree at the first step costs the
+    plain two calls.
+
+    When this returns or raises, `x.data`, `x.requires_grad` and the
+    recording state are as the caller left them, mask collection is off and
+    `x.grad` is None.
     """
+    global _relu_masks
     if x.backward_fn is not None:
         raise ContractError(f"grad_check: x must be a leaf tensor, got the output of {x.op}")
     requires_grad = x.requires_grad
@@ -596,18 +620,34 @@ def grad_check(f, x, step=1e-3):
         numeric = np.zeros_like(x.data)
         flat = x.data.reshape(-1)
         nflat = numeric.reshape(-1)
+
+        def at(i, value):
+            """f's value with coordinate i set to `value`, and the masks of its relus."""
+            flat[i] = value
+            masks.clear()
+            return f(x).item(), b"".join(m.tobytes() for m in masks)
+
         with no_grad():
+            _relu_masks = masks = []
             for i in range(flat.size):
                 orig = flat[i]
                 try:
-                    flat[i] = orig + step
-                    fp = f(x).item()
-                    flat[i] = orig - step
-                    fm = f(x).item()
+                    for shrinks in range(_MAX_SHRINKS + 1):
+                        h = step / 4.0 ** shrinks
+                        fp, masks_p = at(i, orig + h)
+                        fm, masks_m = at(i, orig - h)
+                        if masks_p == masks_m:
+                            break
+                    else:
+                        raise NumericFailure(
+                            "grad_check: a relu changes state within every step tried",
+                            snapshot={"coordinate": tuple(int(c) for c in np.unravel_index(i, x.shape)),
+                                      "step": h})
                 finally:
                     flat[i] = orig
-                nflat[i] = (fp - fm) / (2.0 * step)
+                nflat[i] = (fp - fm) / (2.0 * h)
     finally:
+        _relu_masks = None
         x.requires_grad = requires_grad
 
     err = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))

@@ -1,5 +1,5 @@
-"""Gradient-suite plumbing: the redraw loop that picks well-conditioned cases,
-and the checks run on the worker pool."""
+"""Gradient-suite plumbing: each case drawn once, and the checks run on the
+worker pool."""
 
 import os
 import subprocess
@@ -11,24 +11,9 @@ import pytest
 
 import scdkit
 from scdkit import checks, workers
-from scdkit.checks import _draw_clear
-from scdkit.errors import NumericFailure
 from scdkit.tensor import grad_check
 
 SRC = str(Path(scdkit.__file__).resolve().parent.parent)
-
-
-def test_draw_clear_gives_up_with_numeric_failure():
-    calls = []
-
-    def never_ok(attempt):
-        calls.append(attempt)
-        return {"ok": False, "graph": None}
-
-    with pytest.raises(NumericFailure) as info:
-        _draw_clear(never_ok, attempts=5)
-    assert calls == [0, 1, 2, 3, 4]
-    assert info.value.snapshot == {"attempts": 5}
 
 
 def serial_suite(seeds):
@@ -37,7 +22,7 @@ def serial_suite(seeds):
     results = []
     for seed in seeds:
         for case, (name, _, _) in enumerate(checks._CASES):
-            built = _draw_clear(lambda attempt: checks._build(seed, case, attempt))
+            built = checks._build(seed, case)
             for suffix, t in built["tensors"]:
                 err = grad_check(lambda _t: built["graph"](), t)
                 results.append((f"seed{seed}/{name}[{suffix}]", err))
@@ -61,7 +46,7 @@ def test_suite_equals_serial_loop_for_any_worker_count(worker_count):
 def test_worker_exception_reaches_the_caller():
     # the worker's rng rejects the negative seed of the first task
     with pytest.raises(ValueError) as expected:
-        checks._build(-1, 0, 0)
+        checks._build(-1, 0)
     with pytest.raises(ValueError) as info:
         checks.gradient_suite([-1])
     assert type(info.value) is type(expected.value)
@@ -74,10 +59,18 @@ def test_the_caller_draws_and_builds_no_case(monkeypatch):
     def builds(*args, **kwargs):
         raise AssertionError("the calling process built a case")
 
-    for name in ("_draw_clear", "_build", "_head_and_losses"):
+    for name in ("_build", "_head_and_losses"):
         monkeypatch.setattr(checks, name, builds)
     results = checks.gradient_suite([0])
     assert len(results) == 33 and checks.worst(results) < checks.THRESHOLD
+
+
+def test_seeds_with_cases_near_relu_kinks_pass():
+    # none of the first 200 draws of these seeds' cd_block keeps every relu
+    # pre-activation 2e-2 away from zero; the suite checks the first as it is
+    results = checks.gradient_suite([21, 40, 42])
+    assert len(results) == 3 * 33
+    assert checks.worst(results) < checks.THRESHOLD
 
 
 def test_each_head_and_loss_check_is_a_task_of_its_own(monkeypatch):

@@ -15,6 +15,7 @@ from scdkit.config import _KEYS, Settings, parse_config
 from scdkit.data import write_pgm
 from scdkit.errors import ConfigError
 from scdkit.networks import build
+from scdkit.tensor import Tensor, grad_check, relu, sum_all
 from scdkit.train import TrainConfig
 
 
@@ -257,12 +258,25 @@ def test_gradcheck_rejects_empty_seed_range(count, capsys):
     assert "--seeds must be >= 1" in capsys.readouterr().err
 
 
-def test_gradcheck_exits_two_when_no_case_is_well_conditioned(monkeypatch, capsys):
-    # seed 21 has a case none of whose 200 draws is well-conditioned
+def test_gradcheck_exits_two_when_a_check_exceeds_the_threshold(monkeypatch, capsys):
+    # seed 30's consistency loss has a finite-difference error above 1e-4
     suite = checks.gradient_suite
-    monkeypatch.setattr(checks, "gradient_suite", lambda seeds: suite([21]))
+    monkeypatch.setattr(checks, "gradient_suite", lambda seeds: suite([30]))
     assert main(["gradcheck", "--seeds", "1"]) == 2
-    assert "'attempts': 200" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL consistency_intent ", out, re.MULTILINE)
+    assert "worst over 1 seed(s)" in out
+
+
+def test_gradcheck_exits_two_when_a_relu_sits_on_its_kink(monkeypatch, capsys):
+    def kinked_suite(seeds):
+        return [("seed0/relu", grad_check(lambda t: sum_all(relu(t)), Tensor(np.zeros(3))))]
+
+    monkeypatch.setattr(checks, "gradient_suite", kinked_suite)
+    assert main(["gradcheck", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure: grad_check: a relu changes state" in err
+    assert "snapshot: {'coordinate': '(0,)', 'step': " in err
 
 
 @pytest.mark.parametrize("size,message", [("-8", "--size must be >= 1"),

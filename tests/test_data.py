@@ -6,8 +6,7 @@ import pytest
 from scdkit.data import (AUGMENT_COUNT, SamplePair, _orient, augment, generate_synthetic,
                          image_to_tensor, list_stems, load_dataset, make_pair,
                          read_pgm, read_ppm, read_prediction, read_sample,
-                         validate_pair, write_pgm, write_ppm, write_prediction,
-                         write_sample)
+                         write_pgm, write_ppm, write_prediction, write_sample)
 from scdkit.errors import ConfigError, DataError, DimensionError
 
 
@@ -176,17 +175,6 @@ def test_zero_set_mismatch_warns_but_loads(tmp_path):
     with pytest.warns(UserWarning, match="disagree"):
         back = read_sample(tmp_path, "s0")
     assert back.label2[0, 0] == 1
-
-
-def test_validate_pair_reports_issues():
-    pair = sample()
-    assert validate_pair(pair, 2) == []
-    pair.label2[0, 0] = 1
-    issues = validate_pair(pair, 2)
-    assert len(issues) == 1 and "zero sets" in issues[0]
-    bad = SamplePair("x", pair.image1, pair.image2, pair.label1,
-                     np.zeros((4, 4), dtype=np.uint8))
-    assert any("label maps" in i for i in validate_pair(bad))
 
 
 def test_dimension_disagreement_rejected(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from scdkit import tensor
-from scdkit.errors import ContractError, DimensionError
+from scdkit.errors import ContractError, DimensionError, NumericFailure
 from scdkit.tensor import (_SCATTER_MAX_ENTRIES, Tensor, _col2im_index, add,
                            backward, clip, concat_channels,
                            conv2d, div, enable_grad, grad_check, log,
@@ -545,6 +545,32 @@ def test_grad_check_leaves_the_callers_state_as_it_found_it():
         assert x.requires_grad is False and x.grad is None
         assert x.data.tobytes() == data.tobytes()
         assert add(param, param).parents  # recording is on again
+        assert tensor._relu_masks is None  # and mask collection off
+
+
+def test_grad_check_steps_around_a_relu_kink():
+    # 5e-4 and -3e-4 lie within the default step of 1e-3 from the kink: a
+    # central difference across it mixes the slopes of both sides
+    x = Tensor(np.array([5e-4, -3e-4, 1.0, -2.0]))
+    w = Tensor(np.array([1.5, -0.7, 2.0, 0.3]))
+    calls = []
+
+    def f(t):
+        calls.append(None)
+        return sum_all(mul(relu(t), w))
+
+    assert grad_check(f, x) < 1e-9
+    assert len(calls) == 1 + 2 * (x.size + 2)  # one shrink for each of the two
+    assert tensor._relu_masks is None
+
+
+def test_grad_check_gives_up_on_a_relu_exactly_at_its_kink():
+    x = Tensor(np.array([[1.0, 0.0], [-1.0, 2.0]]))
+    with pytest.raises(NumericFailure) as info:
+        grad_check(lambda t: sum_all(relu(t)), x)
+    assert info.value.snapshot == {"coordinate": (0, 1), "step": 1e-3 / 4.0 ** tensor._MAX_SHRINKS}
+    assert x.data.tolist() == [[1.0, 0.0], [-1.0, 2.0]]
+    assert tensor._relu_masks is None
 
 
 def test_grad_check_rejects_non_leaf():
