@@ -4,13 +4,13 @@
     scdkit train      train one network family on a dataset directory
     scdkit evaluate   run a checkpoint over a dataset and report metrics
     scdkit metrics    score stored prediction maps against ground truth
-    scdkit gradcheck  run the finite-difference gradient suite
+    scdkit gradcheck  run the complex-step gradient suite
     scdkit compare    build all five families and tabulate params/FLOPs
     scdkit validate   check a dataset directory against the format contract
 
 Exit codes: 0 on success, 1 on contract/config/data errors, 2 on numeric
-failures (non-finite loss, gradient check above threshold, undefined metric
-where a number was required).
+failures (non-finite loss or logits, gradient check above threshold,
+undefined metric where a number was required).
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ def make_parser():
     p.add_argument("--csv", help="write the report as CSV to this path ('-' = stdout)")
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
+    p = sub.add_parser("gradcheck", help="complex-step gradient suite")
     p.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
     p.set_defaults(fn=cmd_gradcheck)
 

@@ -16,12 +16,15 @@ an optimizer updates parameters in place only after `backward` has returned.
 
 Inside `no_grad()` no op records anything: each returns a plain tensor
 with no parents, computed by the same numpy calls, so the values are the
-same bits.  Code that only reads values (evaluation, the finite-difference
+same bits.  Code that only reads values (evaluation, the complex-step
 evaluations of `grad_check`) skips the graph's bookkeeping that way;
 `enable_grad()` turns recording back on inside such a block, for code that
 walks the graph it builds.  The switch is one per process, not per thread.
-So is the mask list through which `grad_check` sees the relus of its
-finite-difference evaluations, to step around their kinks.
+
+Data is float64.  Complex128 data exists only inside `grad_check`'s
+numeric loop, which runs the forward ops on complex inputs: every op
+accepts them, and the ops that select (`relu`, `clip`, `stable_sigmoid`)
+select on the real part.
 
 There is no implicit broadcasting: elementwise ops demand equal shapes, and
 the only scalar shortcut is `scale`.  Row-wise helpers (`row_scale`,
@@ -32,19 +35,24 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import warnings
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericFailure
+from .errors import ContractError, DimensionError
 
 
 class Tensor:
-    """A dense float64 array plus the bookkeeping for reverse-mode differentiation."""
+    """A dense float64 array plus the bookkeeping for reverse-mode differentiation.
+
+    Complex data is kept as complex128, for `grad_check`'s complex step;
+    anything else is converted to float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
+        self.data = np.ascontiguousarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.parents = tuple(parents)
@@ -102,12 +110,12 @@ def enable_grad():
 
 
 def _from_op(data, parents, backward_fn):
-    """The tensor of an op's result: the same `np.ascontiguousarray` as
-    `Tensor.__init__`, without that call's keyword arguments, `bool` and
-    `tuple`.  Every result goes through the conversion, since a check for
-    data that needs none costs more than the conversion does."""
+    """The tensor of an op's result, without `Tensor.__init__`'s dtype
+    choice, `bool` and `tuple`: ops on float64 (complex128) data return
+    float64 (complex128).  Every result goes through `np.ascontiguousarray`,
+    since a check for data that needs none costs more than the call does."""
     t = object.__new__(Tensor)
-    t.data = np.ascontiguousarray(data, dtype=np.float64)
+    t.data = np.ascontiguousarray(data)
     t.grad = None
     if _recording:
         # Subgraphs that cannot influence any gradient are pruned on the spot.
@@ -162,22 +170,15 @@ def neg(a):
     return scale(a, -1.0)
 
 
-# The list `relu` appends each mask it computes to while `grad_check` runs
-# its finite differences; None the rest of the time.  Set only by `grad_check`.
-_relu_masks = None
-
-
 def relu(a):
-    mask = a.data > 0.0  # gradient at exactly zero is defined as zero
-    if _relu_masks is not None:
-        _relu_masks.append(mask)
+    mask = a.data.real > 0.0  # gradient at exactly zero is defined as zero
     return _from_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def stable_sigmoid(x):
     """Overflow-free logistic on a raw ndarray."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
+    out = np.empty_like(x)
+    pos = x.real >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
@@ -200,8 +201,12 @@ def sqrt(a):
 
 def clip(a, lo, hi):
     """Clamp to [lo, hi]; gradient passes through only where no clamping happened."""
-    inside = (a.data >= lo) & (a.data <= hi)
-    return _from_op(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+    x = a.data
+    inside = (x.real >= lo) & (x.real <= hi)
+    y = np.clip(x.real, lo, hi)
+    if np.iscomplexobj(x):  # a clamped entry is a constant: no imaginary part
+        y = np.where(inside, x, y)
+    return _from_op(y, (a,), lambda g: (g * inside,))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +355,7 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     def patches():
         if padding:
-            xp = np.zeros(padded)
+            xp = np.zeros(padded, dtype=x.data.dtype)
             xp[:, padding:padding + h, padding:padding + w] = x.data
         else:
             xp = x.data
@@ -574,80 +579,59 @@ def zero_grads(tensors):
         t.grad = None
 
 
-# How often `grad_check` divides one coordinate's step by 4 before it gives up.
-_MAX_SHRINKS = 8
+# The imaginary step of `grad_check`: small enough that the truncation
+# error (of order h^2 times the third derivative) is far below rounding.
+_STEP = 1e-30
 
 
-def grad_check(f, x, step=1e-3):
-    """Worst relative error between analytic and central-difference gradients.
+def grad_check(f, x):
+    """Worst relative error between the analytic gradient and complex-step derivatives.
 
     `f` maps the leaf tensor `x` to a scalar tensor and must be deterministic.
-    The error at each coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    The numeric derivative at coordinate i is Im f(x + ih e_i) / h with
+    h = 1e-30: a complex step, which subtracts nothing and so is exact to
+    rounding (Squire & Trapp, SIAM Review 40(1), 1998).  The error at each
+    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
 
-    Only the first call of `f` records a graph, for the analytic gradient;
-    the finite-difference calls run under `no_grad()`, since only their
-    values are read.  Each still runs all of `f`, so an op that drops a
-    parent shows up as a gap between the two gradients.
+    Only the first call of `f` records a graph, for the analytic gradient.
+    Then `x.data` is swapped for a complex128 copy and `f` runs once per
+    coordinate under `no_grad()`, since only its values are read; each call
+    still runs all of `f`, so an op that drops a parent shows up as a gap
+    between the two gradients.  An op that drops the imaginary part reads a
+    numeric derivative of 0, and numpy's `ComplexWarning` is an error inside
+    the loop, so a silent cast to float raises instead of passing.  A relu
+    selects on the real part, so at exactly 0 it reads 0 on both sides.
 
-    A central difference across a relu kink measures neither side's slope,
-    so the x+h and x-h calls collect the masks of every relu they run.
-    Where the two calls' masks differ, that coordinate's step is divided by
-    4 and both calls run again; when the masks still differ after
-    `_MAX_SHRINKS` shrinks, `NumericFailure` names the coordinate and its
-    last step.  A coordinate whose masks agree at the first step costs the
-    plain two calls.
-
-    When this returns or raises, `x.data`, `x.requires_grad` and the
-    recording state are as the caller left them, mask collection is off and
-    `x.grad` is None.
+    When this returns or raises, `x.data` (the same array, with the same
+    bits), `x.requires_grad` and the recording state are as the caller left
+    them, and `x.grad` is None.
     """
-    global _relu_masks
     if x.backward_fn is not None:
         raise ContractError(f"grad_check: x must be a leaf tensor, got the output of {x.op}")
     requires_grad = x.requires_grad
+    data = x.data
     x.requires_grad = True
     x.grad = None
     try:
         with enable_grad():
             out = f(x)
         backward(out)
-        if x.grad is None:
-            analytic = np.zeros_like(x.data)
-        else:
-            analytic = x.grad.copy()
+        analytic = np.zeros_like(data) if x.grad is None else x.grad
         x.grad = None
 
-        numeric = np.zeros_like(x.data)
-        flat = x.data.reshape(-1)
+        numeric = np.empty(data.shape)
         nflat = numeric.reshape(-1)
-
-        def at(i, value):
-            """f's value with coordinate i set to `value`, and the masks of its relus."""
-            flat[i] = value
-            masks.clear()
-            return f(x).item(), b"".join(m.tobytes() for m in masks)
-
-        with no_grad():
-            _relu_masks = masks = []
+        real = data.reshape(-1)
+        x.data = data.astype(np.complex128)
+        flat = x.data.reshape(-1)
+        with no_grad(), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
             for i in range(flat.size):
-                orig = flat[i]
-                try:
-                    for shrinks in range(_MAX_SHRINKS + 1):
-                        h = step / 4.0 ** shrinks
-                        fp, masks_p = at(i, orig + h)
-                        fm, masks_m = at(i, orig - h)
-                        if masks_p == masks_m:
-                            break
-                    else:
-                        raise NumericFailure(
-                            "grad_check: a relu changes state within every step tried",
-                            snapshot={"coordinate": tuple(int(c) for c in np.unravel_index(i, x.shape)),
-                                      "step": h})
-                finally:
-                    flat[i] = orig
-                nflat[i] = (fp - fm) / (2.0 * h)
+                flat[i] = complex(real[i], _STEP)
+                nflat[i] = f(x).data.imag.item() / _STEP
+                flat[i] = real[i]
     finally:
-        _relu_masks = None
+        x.data = data
         x.requires_grad = requires_grad
 
     err = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))

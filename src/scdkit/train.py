@@ -196,7 +196,9 @@ def evaluate(net, samples, collect_predictions=False):
     """Forward every pair, accumulate one confusion matrix over both temporal
     maps, and report with the per-temporal breakdown attached.  The forward
     passes run under `no_grad()`: only their values are read, so no graph
-    is built."""
+    is built.  Raises `NumericFailure` at the first pair with a non-finite
+    logit, naming the pair and the output (`p1`, `p2` or `c`, the change
+    logit): label maps argmaxed from such logits mean nothing."""
     n = net.num_classes
     cm1 = ConfusionMatrix(n)
     cm2 = ConfusionMatrix(n)
@@ -205,6 +207,11 @@ def evaluate(net, samples, collect_predictions=False):
     for pair in samples:
         with no_grad():
             out = net.forward(*datamod.pair_tensors(pair))
+        for name in ("p1", "p2", "c"):
+            logits = getattr(out, name)
+            if logits is not None and not np.isfinite(logits.data).all():
+                raise NumericFailure(f"evaluate: non-finite {name} logits for pair {pair.stem}",
+                                     snapshot={"stem": pair.stem, "output": name})
         s1, s2 = out.s1, out.s2
         del out  # frees this pair's logits before the next pair is forwarded
         cm1.add(s1, pair.label1)

@@ -1,5 +1,7 @@
 """Shared test settings: one deterministic hypothesis profile for the suite,
-and the `worker_count` fixture that pins the worker pool's size.
+the `worker_count` fixture that pins the worker pool's size, and the
+`planted_matmul_error` fixture that gives the gradient suite a wrong
+gradient to catch.
 
 Examples are derandomized so every run checks the same inputs, no deadline
 is set so a slow shared host cannot fail a test, and no example database is
@@ -48,3 +50,24 @@ def worker_count(monkeypatch):
     def set_count(count):
         monkeypatch.setattr(workers, "worker_count", lambda tasks: min(count, tasks))
     return set_count
+
+
+@pytest.fixture
+def planted_matmul_error(monkeypatch):
+    """Plants a 1e-7 relative error in the left-operand gradient of every
+    matmul the blocks make (attention and the classifier heads), and runs
+    the gradient suite's tasks in this process, where the plant is seen."""
+    from scdkit import blocks, tensor, workers
+
+    def skewed(a, b):
+        out = tensor.matmul(a, b)
+        exact = out.backward_fn
+        if exact is not None:
+            def backward_fn(g):
+                ga, gb = exact(g)
+                return (None if ga is None else ga * (1.0 + 1e-7)), gb
+            out.backward_fn = backward_fn
+        return out
+
+    monkeypatch.setattr(blocks, "matmul", skewed)
+    monkeypatch.setattr(workers, "starmap", lambda fn, tasks: [fn(*task) for task in tasks])

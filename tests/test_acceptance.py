@@ -82,10 +82,10 @@ def test_1_gradient_suite(capsys):
     results = gradient_suite(range(10))
     elapsed = time.perf_counter() - t0
     peak = worst(results)
-    ok = peak < 1e-4 and elapsed < 60.0
-    margin = 1e-4 / peak if peak else math.inf
+    ok = peak < 1e-9 and elapsed < 60.0
+    margin = 1e-9 / peak if peak else math.inf
     _verdict(capsys, 1, ok, f"gradient suite: {len(results)} checks, worst rel err "
-                    f"{peak:.3e} (< 1e-4, margin {margin:.2f}×), {elapsed:.1f}s (< 60s)")
+                    f"{peak:.3e} (< 1e-9, margin {margin:.2f}×), {elapsed:.1f}s (< 60s)")
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,27 @@ def test_seeds_with_cases_near_relu_kinks_pass():
     assert checks.worst(results) < checks.THRESHOLD
 
 
+def test_the_first_hundred_seeds_pass():
+    # a central difference failed seeds 17, 30, 35 and 54 on truncation alone
+    results = checks.gradient_suite(range(100))
+    assert len(results) == 100 * 33
+    assert checks.worst(results) < checks.THRESHOLD
+
+
+def test_a_planted_1e7_gradient_error_fails_the_suite(planted_matmul_error):
+    results = dict(checks.gradient_suite([0]))
+    assert len(results) == 33
+    siam = [err for name, err in results.items() if name.startswith("seed0/siam_sr[")]
+    assert len(siam) == 4 and min(siam) >= checks.THRESHOLD
+    # the error formula halves a relative error: key's gradient passes one
+    # skewed matmul (5e-8), query's two (1e-7); the oracle adds nothing
+    assert results["seed0/siam_sr[key]"] == pytest.approx(5e-8, rel=1e-4)
+    assert results["seed0/siam_sr[query]"] == pytest.approx(1e-7, rel=1e-4)
+    # checks that run no matmul are untouched by the plant
+    assert results["seed0/semantic_loss"] < checks.THRESHOLD
+    assert results["seed0/residual_unit[input]"] < checks.THRESHOLD
+
+
 def test_each_head_and_loss_check_is_a_task_of_its_own(monkeypatch):
     dealt = []
     starmap = workers.starmap

@@ -1,7 +1,7 @@
 """Tensor op correctness against brute-force oracles and hand values.
 
 The linear-algebra ops are checked against naive loop implementations, the
-backward pass against hand-derived gradients and central finite differences.
+backward pass against hand-derived gradients and complex-step derivatives.
 """
 
 import inspect
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from scdkit import tensor
-from scdkit.errors import ContractError, DimensionError, NumericFailure
+from scdkit.errors import ContractError, DimensionError
 from scdkit.tensor import (_SCATTER_MAX_ENTRIES, Tensor, _col2im_index, add,
                            backward, clip, concat_channels,
                            conv2d, div, enable_grad, grad_check, log,
@@ -491,8 +491,19 @@ def test_no_grad_nests_and_restores_its_state_after_an_exception():
     assert records()
 
 
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_every_op_carries_a_complex_step(name):
+    # grad_check runs each op on complex data: a dropped or cast-away
+    # imaginary part would read as a wrong gradient or raise
+    L = leaves()
+    out = OPS[name](L)
+    w = Tensor(np.random.default_rng(41).normal(size=out.shape))
+    for leaf in out.parents:
+        assert grad_check(lambda t: sum_all(mul(OPS[name](L), w)), leaf) < 1e-9
+
+
 # ---------------------------------------------------------------------------
-# finite differences
+# complex-step derivatives
 
 
 def test_grad_check_linear_is_tight():
@@ -512,7 +523,7 @@ def test_grad_check_records_a_graph_on_its_first_call_only():
         return out
 
     assert grad_check(f, x) < 1e-9
-    assert len(parents) == 1 + 2 * x.size
+    assert len(parents) == 1 + x.size
     assert parents[0] and not any(parents[1:])
     parents.clear()
     with no_grad():  # the analytic gradient still gets its graph
@@ -522,9 +533,11 @@ def test_grad_check_records_a_graph_on_its_first_call_only():
 
 def test_grad_check_leaves_the_callers_state_as_it_found_it():
     x = Tensor(np.random.default_rng(12).normal(size=(2, 3)))
+    array = x.data
     data = x.data.copy()
     grad_check(lambda t: sum_all(mul(t, t)), x)
     assert x.requires_grad is False and x.grad is None
+    assert x.data is array and x.data.tobytes() == data.tobytes()
     param = Tensor(x.data.copy(), requires_grad=True)
     grad_check(lambda t: sum_all(mul(t, t)), param)
     assert param.requires_grad is True
@@ -539,38 +552,42 @@ def test_grad_check_leaves_the_callers_state_as_it_found_it():
             return sum_all(mul(t, t))
         return f
 
-    for call in (1, 4):  # the analytic call, then a finite-difference call
+    for call in (1, 4):  # the analytic call, then a complex-step call
         with pytest.raises(FloatingPointError):
             grad_check(fails_on(call), x)
         assert x.requires_grad is False and x.grad is None
-        assert x.data.tobytes() == data.tobytes()
+        assert x.data is array and x.data.tobytes() == data.tobytes()
         assert add(param, param).parents  # recording is on again
-        assert tensor._relu_masks is None  # and mask collection off
 
 
-def test_grad_check_steps_around_a_relu_kink():
-    # 5e-4 and -3e-4 lie within the default step of 1e-3 from the kink: a
-    # central difference across it mixes the slopes of both sides
-    x = Tensor(np.array([5e-4, -3e-4, 1.0, -2.0]))
-    w = Tensor(np.array([1.5, -0.7, 2.0, 0.3]))
-    calls = []
-
-    def f(t):
-        calls.append(None)
-        return sum_all(mul(relu(t), w))
-
-    assert grad_check(f, x) < 1e-9
-    assert len(calls) == 1 + 2 * (x.size + 2)  # one shrink for each of the two
-    assert tensor._relu_masks is None
-
-
-def test_grad_check_gives_up_on_a_relu_exactly_at_its_kink():
+def test_grad_check_of_a_relu_at_exactly_zero_reads_zero():
+    # the complex step keeps the real part at 0, so the relu stays off and
+    # reads 0 on both sides, as the analytic rule does
     x = Tensor(np.array([[1.0, 0.0], [-1.0, 2.0]]))
-    with pytest.raises(NumericFailure) as info:
-        grad_check(lambda t: sum_all(relu(t)), x)
-    assert info.value.snapshot == {"coordinate": (0, 1), "step": 1e-3 / 4.0 ** tensor._MAX_SHRINKS}
+    assert grad_check(lambda t: sum_all(relu(t)), x) == 0.0
     assert x.data.tolist() == [[1.0, 0.0], [-1.0, 2.0]]
-    assert tensor._relu_masks is None
+
+
+def test_grad_check_fails_an_op_that_drops_the_imaginary_part():
+    x = Tensor(np.random.default_rng(17).normal(size=(2, 3)))
+
+    def real_part(t):  # the identity, whose forward forgets the complex step
+        return Tensor(t.data.real, requires_grad=True, parents=(t,), backward_fn=lambda g: (g,))
+
+    assert grad_check(lambda t: sum_all(mul(real_part(t), real_part(t))), x) == 1.0
+
+
+def test_grad_check_raises_on_a_silent_cast_to_float():
+    x = Tensor(np.random.default_rng(18).normal(size=(2, 3)))
+    array = x.data
+
+    def cast(t):
+        return Tensor(t.data.astype(np.float64), requires_grad=True, parents=(t,),
+                      backward_fn=lambda g: (g,))
+
+    with pytest.raises(np.exceptions.ComplexWarning):
+        grad_check(lambda t: sum_all(mul(cast(t), t)), x)
+    assert x.data is array and x.requires_grad is False
 
 
 def test_grad_check_rejects_non_leaf():

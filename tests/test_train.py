@@ -266,6 +266,27 @@ def test_evaluate_forwards_without_recording_a_graph(monkeypatch):
         assert report.flops == tiny_net().estimate_flops(8, 8) > 0
 
 
+def test_evaluate_fails_at_the_first_pair_with_non_finite_logits():
+    net = tiny_net()
+    for p in net.parameters():
+        p.data *= 1e80  # the products of the deeper layers overflow
+    samples = tiny_samples(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert evaluate(net, samples[:1]).pixels == 2 * 64  # pair 00 stays finite
+        with pytest.raises(NumericFailure) as info:
+            evaluate(net, samples)
+    assert info.value.snapshot == {"stem": "01", "output": "p1"}
+    assert str(info.value) == "evaluate: non-finite p1 logits for pair 01"
+
+
+def test_evaluate_names_a_non_finite_change_logit():
+    net = tiny_net()
+    net.heads["c"].bias.data[0] = np.inf
+    with pytest.raises(NumericFailure) as info:
+        evaluate(net, tiny_samples(2))
+    assert info.value.snapshot == {"stem": "00", "output": "c"}
+
+
 def test_evaluate_collects_predictions():
     net = tiny_net()
     samples = tiny_samples(2)
