@@ -6,12 +6,12 @@ respect to the block input and every parameter tensor.  Blocks are reduced to sc
 fixed random readout so the checked gradients are generic.  Value
 projections are re-randomized because their zero init would hide errors.
 
-Each block case of each seed runs whole on a worker process
-(`scdkit.workers`): the worker draws it from the seed and checks all its
-tensors.  Each head and loss check is a task of its own, whose worker draws
-the seed's head and loss tensors and runs that one check.  The calling
-process neither draws nor builds anything; it reads the number of tasks
-per seed from the `_CASES` and `_HEAD_AND_LOSSES` tables.
+Each row of the `_CASES` table is one task per seed for the worker pool
+(`scdkit.workers`): the worker draws the row from the seed and checks each
+of its tensors.  A block row checks every tensor of its block; each head
+and loss check is a row of its own, which draws all the seed's head and
+loss tensors and checks one.  The calling process neither draws nor builds
+anything; it reads the number of tasks per seed from `_CASES`.
 
 Each case is drawn once, wherever its relu pre-activations and attention
 logits fall: a complex step leaves the real parts where they are, so no
@@ -49,8 +49,8 @@ def _residual_unit(r):
     unit = ResidualUnit(4, r)
     x = Tensor(r.normal(0.0, 1.0, size=(4, 4, 4)))
     out = _readout(r, (4, 4, 4))
-    return {"graph": lambda: out(unit(x)),
-            "tensors": [("input", x), ("conv1", unit.conv1), ("conv2", unit.conv2)]}
+    return (lambda _t: out(unit(x)),
+            [("input", x), ("conv1", unit.conv1), ("conv2", unit.conv2)])
 
 
 def _encoder_stage(r):
@@ -60,9 +60,9 @@ def _encoder_stage(r):
     unit0 = enc.stages[0][3][0]
     x = Tensor(r.normal(0.0, 1.0, size=(3, 8, 8)))
     out = _readout(r, (4, 1, 1))
-    return {"graph": lambda: out(enc(x)),
-            "tensors": [("input", x), ("conv", conv0),
-                        ("unit.conv1", unit0.conv1), ("unit.conv2", unit0.conv2)]}
+    return (lambda _t: out(enc(x)),
+            [("input", x), ("conv", conv0),
+             ("unit.conv1", unit0.conv1), ("unit.conv2", unit0.conv2)])
 
 
 def _cd_block(r):
@@ -73,7 +73,7 @@ def _cd_block(r):
     tensors = [("x1", a), ("x2", b), ("fuse", cd.fuse)]
     tensors += [(f"unit{i}.conv{j}", getattr(u, f"conv{j}"))
                 for i, u in enumerate(cd.units) for j in (1, 2)]
-    return {"graph": lambda: out(cd(a, b)), "tensors": tensors}
+    return lambda _t: out(cd(a, b)), tensors
 
 
 def _siam_sr(r):
@@ -82,9 +82,9 @@ def _siam_sr(r):
     sr.proj.value.data = r.normal(0.0, 0.5, size=sr.proj.value.shape)
     x = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
     out = _readout(r, (4, 3, 3))
-    return {"graph": lambda: out(sr(x)),
-            "tensors": [("input", x), ("query", sr.proj.query),
-                        ("key", sr.proj.key), ("value", sr.proj.value)]}
+    return (lambda _t: out(sr(x)),
+            [("input", x), ("query", sr.proj.query),
+             ("key", sr.proj.key), ("value", sr.proj.value)])
 
 
 def _cot_sr(r):
@@ -95,30 +95,31 @@ def _cot_sr(r):
     x2 = Tensor(r.normal(0.0, 0.5, size=(4, 3, 3)))
     out = _readout(r, (4, 3, 3))
 
-    def graph():
+    def f(_t):
         y1, y2 = cot(x1, x2)
         return sum_all(mul(out(y1), out(y2)))
 
-    return {"graph": graph,
-            "tensors": [("x1", x1), ("x2", x2), ("query", cot.branch1.query),
-                        ("key", cot.branch1.key), ("value", cot.branch1.value)]}
+    return f, [("x1", x1), ("x2", x2), ("query", cot.branch1.query),
+               ("key", cot.branch1.key), ("value", cot.branch1.value)]
 
 
-# (result name, rng stream, builder): each builder draws one configuration
-# from the rng it is given.
-_CASES = (("residual_unit", 11, _residual_unit),
-          ("encoder_stage", 12, _encoder_stage),
-          ("cd_block", 13, _cd_block),
-          ("siam_sr", 14, _siam_sr),
-          ("cot_sr", 15, _cot_sr))
-
-
-def _build(seed, case):
-    """The configuration of `_CASES[case]` for `seed`, drawn from the
-    [seed, stream, 0] stream (the trailing 0 keeps the draws, and so the
-    results, of earlier versions of the suite)."""
-    _, stream, make = _CASES[case]
-    return make(np.random.default_rng([seed, stream, 0]))
+def _head_and_loss(tensor, loss):
+    """The builder of one head or loss check: it draws every head and loss
+    tensor and checks `loss(draws, t)` against the draw named `tensor`."""
+    def make(rng):
+        head = PixelClassifier(4, 3, rng)
+        xh = Tensor(rng.normal(0.0, 1.0, size=(4, 4, 4)))
+        readout = _readout(rng, (3, 4, 4))
+        labels = rng.integers(0, 4, size=(4, 4))
+        p1 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
+        p2 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
+        dense = Tensor(rng.normal(0.0, 1.5, size=(5, 4, 4)))
+        cl = Tensor(rng.normal(0.0, 2.0, size=(4, 4)))
+        d = SimpleNamespace(head=head, xh=xh, weight=head.weight, bias=head.bias,
+                            readout=readout, labels=labels, p1=p1, p2=p2, dense=dense,
+                            cl=cl, change=(labels != 0).astype(np.int64))
+        return functools.partial(loss, d), [(None, getattr(d, tensor))]
+    return make
 
 
 def _head_readout(d, _t):
@@ -131,56 +132,44 @@ def _total_loss(d, t):
                       semantic_consistency_loss(t, d.p2, d.change))
 
 
-# (result name, checked tensor, loss(draws, t)): one row per classifier-head
-# and loss check, in suite order.  `_head_and_losses` draws the tensors of
-# every row at once, and grad_check(lambda t: loss(draws, t), draws.<tensor>)
-# is the row's check.
-_HEAD_AND_LOSSES = (
-    ("head_1x1[input]", "xh", _head_readout),
-    ("head_1x1[weight]", "weight", _head_readout),
-    ("head_1x1[bias]", "bias", _head_readout),
-    ("semantic_loss", "p1", lambda d, t: semantic_loss(t, d.labels)),
-    ("dense_cross_entropy", "dense", lambda d, t: dense_cross_entropy(t, d.labels)),
-    ("change_loss", "cl", lambda d, t: change_loss(t, d.change)),
-    ("consistency_intent", "p1", lambda d, t: semantic_consistency_loss(t, d.p2, d.change)),
-    ("consistency_literal", "p1",
-     lambda d, t: semantic_consistency_loss(t, d.p2, d.change, mode="literal")),
-    ("consistency_logit_space", "p1",
-     lambda d, t: semantic_consistency_loss(t, d.p2, d.change, space="logit")),
-    ("total_loss", "p1", _total_loss))
+# (result name, rng stream, make), one row per task in suite order.  The rng
+# of a row is default_rng([seed, *stream]) (the blocks' trailing 0 keeps the
+# draws, and so the results, of earlier versions of the suite), and make(rng)
+# returns (f, [(suffix, x), ...]): grad_check(f, x) is the check named
+# name[suffix], or name alone when suffix is None.
+_CASES = (("residual_unit", (11, 0), _residual_unit),
+          ("encoder_stage", (12, 0), _encoder_stage),
+          ("cd_block", (13, 0), _cd_block),
+          ("siam_sr", (14, 0), _siam_sr),
+          ("cot_sr", (15, 0), _cot_sr)) + tuple(
+    (name, (97,), _head_and_loss(tensor, loss)) for name, tensor, loss in (
+        ("head_1x1[input]", "xh", _head_readout),
+        ("head_1x1[weight]", "weight", _head_readout),
+        ("head_1x1[bias]", "bias", _head_readout),
+        ("semantic_loss", "p1", lambda d, t: semantic_loss(t, d.labels)),
+        ("dense_cross_entropy", "dense", lambda d, t: dense_cross_entropy(t, d.labels)),
+        ("change_loss", "cl", lambda d, t: change_loss(t, d.change)),
+        ("consistency_intent", "p1", lambda d, t: semantic_consistency_loss(t, d.p2, d.change)),
+        ("consistency_literal", "p1",
+         lambda d, t: semantic_consistency_loss(t, d.p2, d.change, mode="literal")),
+        ("consistency_logit_space", "p1",
+         lambda d, t: semantic_consistency_loss(t, d.p2, d.change, space="logit")),
+        ("total_loss", "p1", _total_loss)))
 
 
-def _head_and_losses(seed):
-    """The head and loss checks of `seed` as (name, f, x), one per
-    `_HEAD_AND_LOSSES` row, with `grad_check(f, x)` the check; all are drawn
-    from the [seed, 97] stream."""
-    rng = np.random.default_rng([seed, 97])
-    head = PixelClassifier(4, 3, rng)
-    xh = Tensor(rng.normal(0.0, 1.0, size=(4, 4, 4)))
-    readout = _readout(rng, (3, 4, 4))
-    labels = rng.integers(0, 4, size=(4, 4))
-    p1 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
-    p2 = Tensor(rng.normal(0.0, 1.5, size=(3, 4, 4)))
-    dense = Tensor(rng.normal(0.0, 1.5, size=(5, 4, 4)))
-    cl = Tensor(rng.normal(0.0, 2.0, size=(4, 4)))
-    d = SimpleNamespace(head=head, xh=xh, weight=head.weight, bias=head.bias,
-                        readout=readout, labels=labels, p1=p1, p2=p2, dense=dense,
-                        cl=cl, change=(labels != 0).astype(np.int64))
-    return [(name, functools.partial(loss, d), getattr(d, tensor))
-            for name, tensor, loss in _HEAD_AND_LOSSES]
+def _build(seed, case):
+    """`_CASES[case]` drawn for `seed`, as its make returns it."""
+    _, stream, make = _CASES[case]
+    return make(np.random.default_rng([seed, *stream]))
 
 
-def _run_task(seed, task):
-    """The results of task `task` of `seed` as [(name, max relative error)]:
-    for `task` < len(_CASES), that case drawn and grad-checked against each
-    of its tensors; above, one `_HEAD_AND_LOSSES` check, drawn with all the
-    others and run alone."""
-    if task >= len(_CASES):
-        name, f, x = _head_and_losses(seed)[task - len(_CASES)]
-        return [(f"seed{seed}/{name}", grad_check(f, x))]
-    built = _build(seed, task)
-    return [(f"seed{seed}/{_CASES[task][0]}[{suffix}]", grad_check(lambda _t: built["graph"](), t))
-            for suffix, t in built["tensors"]]
+def _run_task(seed, case):
+    """The results of `_CASES[case]` for `seed` as [(name, max relative
+    error)]: the row drawn once and grad-checked against each of its tensors."""
+    name = f"seed{seed}/{_CASES[case][0]}"
+    f, tensors = _build(seed, case)
+    return [(name if suffix is None else f"{name}[{suffix}]", grad_check(f, x))
+            for suffix, x in tensors]
 
 
 def gradient_suite(seeds=range(10)):
@@ -195,7 +184,7 @@ def gradient_suite(seeds=range(10)):
     """
     from . import workers  # on first use: importing it costs a fresh process ~10 ms
 
-    tasks = [(seed, task) for seed in seeds for task in range(len(_CASES) + len(_HEAD_AND_LOSSES))]
+    tasks = [(seed, case) for seed in seeds for case in range(len(_CASES))]
     return [result for results in workers.starmap(_run_task, tasks) for result in results]
 
 

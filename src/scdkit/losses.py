@@ -153,20 +153,18 @@ def total_loss(l_sem1, l_sem2, l_change, l_sc):
 
 @dataclass
 class LossReport:
-    """Scalar loss terms of one step or epoch, plus the pixel counts behind them."""
+    """Scalar loss terms of one step or epoch."""
 
     l_sem1: float
     l_sem2: float
     l_change: float
     l_sc: float
     l_total: float
-    sem_pixels: int = 0
-    change_pixels: int = 0
 
     @classmethod
-    def from_terms(cls, l_sem1, l_sem2, l_change, l_sc, sem_pixels=0, change_pixels=0):
+    def from_terms(cls, l_sem1, l_sem2, l_change, l_sc):
         total = total_loss(Tensor(l_sem1), Tensor(l_sem2), Tensor(l_change), Tensor(l_sc)).item()
-        return cls(l_sem1, l_sem2, l_change, l_sc, total, sem_pixels, change_pixels)
+        return cls(l_sem1, l_sem2, l_change, l_sc, total)
 
     def line(self, tag=""):
         head = f"{tag}  " if tag else ""

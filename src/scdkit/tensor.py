@@ -24,7 +24,8 @@ walks the graph it builds.  The switch is one per process, not per thread.
 Data is float64.  Complex128 data exists only inside `grad_check`'s
 numeric loop, which runs the forward ops on complex inputs: every op
 accepts them, and the ops that select (`relu`, `clip`, `stable_sigmoid`)
-select on the real part.
+select on the real part.  `relu` lets NaN through, so an overflow inside a
+network reaches the values that are checked for being finite.
 
 There is no implicit broadcasting: elementwise ops demand equal shapes, and
 the only scalar shortcut is `scale`.  Row-wise helpers (`row_scale`,
@@ -171,8 +172,9 @@ def neg(a):
 
 
 def relu(a):
-    mask = a.data.real > 0.0  # gradient at exactly zero is defined as zero
-    return _from_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    # NaN passes through; the gradient at exactly zero is defined as zero
+    y = np.where(a.data.real <= 0.0, 0.0, a.data)
+    return _from_op(y, (a,), lambda g: (g * (y.real > 0.0),))
 
 
 def stable_sigmoid(x):

@@ -103,7 +103,6 @@ def sample_loss(net, pair, cfg):
         # joint heads carry no-change as channel 0, so train them on the raw maps
         l1 = dense_cross_entropy(out.p1, l1m)
         l2 = dense_cross_entropy(out.p2, l2m)
-        sem_pixels, change_pixels = l1m.size, 0
     else:
         change = pair.change_map.astype(np.int64)
         l1 = semantic_loss(out.p1, l1m)
@@ -111,11 +110,8 @@ def sample_loss(net, pair, cfg):
         lc = change_loss(out.c, change)
         if cfg.use_sc == "on" or (cfg.use_sc == "auto" and net.cotsr is not None):
             lsc = semantic_consistency_loss(out.p1, out.p2, change, cfg.sc_mode, cfg.sc_space)
-        sem_pixels = int((l1m >= 1).sum()) + int((l2m >= 1).sum())
-        change_pixels = change.size
     loss = total_loss(l1, l2, lc, lsc)
-    report = LossReport.from_terms(l1.item(), l2.item(), lc.item(), lsc.item(),
-                                   sem_pixels=sem_pixels, change_pixels=change_pixels)
+    report = LossReport.from_terms(l1.item(), l2.item(), lc.item(), lsc.item())
     return loss, report, out
 
 
@@ -125,9 +121,7 @@ def _mean_report(reports):
         sum(r.l_sem1 for r in reports) / n,
         sum(r.l_sem2 for r in reports) / n,
         sum(r.l_change for r in reports) / n,
-        sum(r.l_sc for r in reports) / n,
-        sem_pixels=sum(r.sem_pixels for r in reports),
-        change_pixels=sum(r.change_pixels for r in reports))
+        sum(r.l_sc for r in reports) / n)
 
 
 def train(net, samples, cfg, log=None):

@@ -17,17 +17,15 @@ SRC = str(Path(scdkit.__file__).resolve().parent.parent)
 
 
 def serial_suite(seeds):
-    """The in-process loop: each case drawn once and grad-checked against its
-    tensors in turn, then the head and loss checks of the seed."""
+    """The in-process loop: each row of `_CASES` drawn once and grad-checked
+    against its tensors in turn."""
     results = []
     for seed in seeds:
         for case, (name, _, _) in enumerate(checks._CASES):
-            built = checks._build(seed, case)
-            for suffix, t in built["tensors"]:
-                err = grad_check(lambda _t: built["graph"](), t)
-                results.append((f"seed{seed}/{name}[{suffix}]", err))
-        for name, f, x in checks._head_and_losses(seed):
-            results.append((f"seed{seed}/{name}", grad_check(f, x)))
+            f, tensors = checks._build(seed, case)
+            for suffix, x in tensors:
+                full = f"seed{seed}/{name}" if suffix is None else f"seed{seed}/{name}[{suffix}]"
+                results.append((full, grad_check(f, x)))
     return results
 
 
@@ -59,8 +57,7 @@ def test_the_caller_draws_and_builds_no_case(monkeypatch):
     def builds(*args, **kwargs):
         raise AssertionError("the calling process built a case")
 
-    for name in ("_build", "_head_and_losses"):
-        monkeypatch.setattr(checks, name, builds)
+    monkeypatch.setattr(checks, "_build", builds)
     results = checks.gradient_suite([0])
     assert len(results) == 33 and checks.worst(results) < checks.THRESHOLD
 
@@ -104,9 +101,10 @@ def test_each_head_and_loss_check_is_a_task_of_its_own(monkeypatch):
 
     monkeypatch.setattr(workers, "starmap", recorded)
     results = checks.gradient_suite([0])
-    assert len(dealt[0]) == len(checks._CASES) + len(checks._HEAD_AND_LOSSES) == 15
-    heads_and_losses = [name for name, _ in results[-len(checks._HEAD_AND_LOSSES):]]
-    assert heads_and_losses == [f"seed0/{name}" for name, _, _ in checks._HEAD_AND_LOSSES]
+    assert dealt[0] == [(0, case) for case in range(len(checks._CASES))]
+    assert len(checks._CASES) == 15
+    heads_and_losses = [name for name, _ in results[-10:]]
+    assert heads_and_losses == [f"seed0/{name}" for name, _, _ in checks._CASES[5:]]
 
 
 def test_pool_calls_run_under_the_callers_floating_point_error_settings():

@@ -219,6 +219,21 @@ def test_evaluate_exits_two_on_non_finite_logits(dataset, cfg_file, tmp_path, ca
                      captured.err, re.MULTILINE)
 
 
+def test_a_diverging_default_lr_run_exits_two(tmp_path, capsys):
+    # dscd-l at the default lr 0.1 overflows inside the network in epoch 1;
+    # relu lets the NaN through, so the final evaluation sees it in the logits
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("train.epochs = 2\ntrain.batch_size = 4\n")
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--count", "8", "--size", "32"]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "run"), "--family", "dscd-l"])
+    assert code == 2
+    assert re.search(r"^numeric failure: evaluate: non-finite p1 logits for pair 000000$",
+                     capsys.readouterr().err, re.MULTILINE)
+
+
 def test_evaluate_writes_predictions_and_metrics_close_loop(dataset, cfg_file,
                                                             tmp_path, capsys):
     preds = tmp_path / "preds"

@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
+from scdkit.blocks import EncoderConfig
+from scdkit.data import make_pair
 from scdkit.errors import ConfigError, DataError, DimensionError
 from scdkit.losses import (LossReport, change_loss, dense_cross_entropy,
                            semantic_consistency_loss, semantic_loss,
                            total_loss)
+from scdkit.networks import build
 from scdkit.tensor import Tensor
+from scdkit.train import TrainConfig, sample_loss
 
 
 def logits_for(labels, n, margin=30.0):
@@ -233,3 +239,143 @@ def test_loss_report_line_has_all_terms():
     for key in ("epoch 1", "sem1", "sem2", "change", "sc", "total"):
         assert key in line
     assert "total 8.5" in line
+
+
+# ---------------------------------------------------------------------------
+# per-pixel oracles: plain float loops written from each term's definition,
+# sharing no code with the tensor implementations
+
+
+def _nll(logits, i, j, k):
+    """-log softmax(logits[:, i, j])[k]."""
+    v = [float(x) for x in logits[:, i, j]]
+    top = max(v)
+    return top + math.log(sum(math.exp(x - top) for x in v)) - v[k]
+
+
+def _softmax(v):
+    top = max(v)
+    ex = [math.exp(x - top) for x in v]
+    total = sum(ex)
+    return [e / total for e in ex]
+
+
+def semantic_oracle(logits, labels):
+    """Mean NLL over pixels labelled k >= 1, of class k - 1; 0 without any."""
+    nll = [_nll(logits, i, j, labels[i, j] - 1)
+           for i, j in np.ndindex(labels.shape) if labels[i, j] >= 1]
+    return sum(nll) / len(nll) if nll else 0.0
+
+
+def dense_oracle(logits, labels):
+    return sum(_nll(logits, i, j, labels[i, j]) for i, j in np.ndindex(labels.shape)) / labels.size
+
+
+def change_oracle(logit, labels):
+    """Mean BCE with the probability clamped to [1e-12, 1 - 1e-12]."""
+    total = 0.0
+    for z, y in zip(logit.flat, labels.flat):
+        z = float(z)
+        p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+        p = min(max(p, 1e-12), 1.0 - 1e-12)
+        total -= math.log(p) if y else math.log(1.0 - p)
+    return total / labels.size
+
+
+def consistency_oracle(p1, p2, change, mode="intent", space="prob"):
+    """Mean over pixels of cos where the pairing says apart, 1 - cos elsewhere."""
+    total = 0.0
+    for i, j in np.ndindex(change.shape):
+        a = [float(x) for x in p1[:, i, j]]
+        b = [float(x) for x in p2[:, i, j]]
+        if space == "prob":
+            a, b = _softmax(a), _softmax(b)
+        dot = sum(x * y for x, y in zip(a, b))
+        norms = sum(x * x for x in a) * sum(y * y for y in b)
+        cos = dot / math.sqrt(max(norms, 1e-24))
+        apart = (change[i, j] != 0) == (mode == "intent")
+        total += cos if apart else 1.0 - cos
+    return total / change.size
+
+
+def total_oracle(l_sem1, l_sem2, l_change, l_sc):
+    return (l_sem1 + l_sem2) / 2.0 + l_change + l_sc
+
+
+def close(got, want):
+    return got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def oracle_draws(seed, n=4, h=5, w=6):
+    """Logits, labels and a change map on a non-square map; a few change
+    logits sit where the clamp binds."""
+    rng = np.random.default_rng(seed)
+    p1 = rng.normal(0.0, 2.0, size=(n, h, w))
+    p2 = rng.normal(0.0, 2.0, size=(n, h, w))
+    labels = rng.integers(0, n + 1, size=(h, w))
+    cl = rng.normal(0.0, 3.0, size=(h, w))
+    cl[0, :3] = (40.0, -40.0, 800.0)
+    return p1, p2, labels, cl, (labels != 0).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_semantic_and_dense_losses_equal_their_oracles(seed):
+    p1, _, labels, _, _ = oracle_draws(seed)
+    assert close(semantic_loss(Tensor(p1), labels).item(), semantic_oracle(p1, labels))
+    dense = np.random.default_rng([seed, 1]).normal(0.0, 2.0, size=(5, 5, 6))
+    assert close(dense_cross_entropy(Tensor(dense), labels).item(), dense_oracle(dense, labels))
+    none = np.zeros_like(labels)
+    assert semantic_loss(Tensor(p1), none).item() == semantic_oracle(p1, none) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_change_loss_equals_its_oracle(seed):
+    _, _, _, cl, change = oracle_draws(seed)
+    assert close(change_loss(Tensor(cl), change).item(), change_oracle(cl, change))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", ["intent", "literal"])
+@pytest.mark.parametrize("space", ["prob", "logit"])
+def test_consistency_loss_equals_its_oracle(seed, mode, space):
+    p1, p2, _, _, change = oracle_draws(seed)
+    got = semantic_consistency_loss(Tensor(p1), Tensor(p2), change, mode=mode, space=space).item()
+    assert close(got, consistency_oracle(p1, p2, change, mode, space))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_total_loss_equals_its_oracle(seed):
+    p1, p2, labels, cl, change = oracle_draws(seed)
+    t1, t2 = Tensor(p1), Tensor(p2)
+    got = total_loss(semantic_loss(t1, labels), semantic_loss(t2, labels),
+                     change_loss(Tensor(cl), change),
+                     semantic_consistency_loss(t1, t2, change)).item()
+    want = total_oracle(semantic_oracle(p1, labels), semantic_oracle(p2, labels),
+                        change_oracle(cl, change), consistency_oracle(p1, p2, change))
+    assert close(got, want)
+
+
+@pytest.mark.parametrize("family,use_sc", [("dscd-l", "auto"), ("sscd-l", "auto"),
+                                           ("bisrnet", "auto"), ("sscd-l", "on")])
+def test_sample_loss_report_equals_the_oracles(family, use_sc):
+    # every field of the report has an oracle: a field added without one fails
+    net = build(family, num_classes=3, seed=1,
+                encoder=EncoderConfig(3, (4, 4, 8), (2, 2, 2), (1, 0, 0)),
+                cd_width=4, cd_units=1)
+    pair = make_pair("00", [2, 0], 16, 16, 3, 0.3)
+    _, report, out = sample_loss(net, pair, TrainConfig(use_sc=use_sc, sc_mode="literal"))
+    p1, p2 = out.p1.data, out.p2.data
+    if out.c is None:
+        want = dict(l_sem1=dense_oracle(p1, pair.label1), l_sem2=dense_oracle(p2, pair.label2),
+                    l_change=0.0, l_sc=0.0)
+    else:
+        change = pair.change_map
+        sc_on = use_sc == "on" or family == "bisrnet"  # auto: the attention family only
+        want = dict(l_sem1=semantic_oracle(p1, pair.label1),
+                    l_sem2=semantic_oracle(p2, pair.label2),
+                    l_change=change_oracle(out.c.data, change),
+                    l_sc=consistency_oracle(p1, p2, change, "literal") if sc_on else 0.0)
+    want["l_total"] = total_oracle(**want)
+    assert [f.name for f in fields(report)] == list(want)
+    for name, value in want.items():
+        assert close(getattr(report, name), value), name

@@ -370,6 +370,14 @@ def test_relu_gradient_at_kink_is_zero():
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
 
+def test_relu_lets_nan_through_with_zero_gradient():
+    x = Tensor(np.array([np.nan, -1.0, 0.0, 2.0]), requires_grad=True)
+    y = relu(x)
+    np.testing.assert_array_equal(y.data, [np.nan, 0.0, 0.0, 2.0])
+    backward(sum_all(y))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
+
+
 def test_clip_gradient_outside_is_zero():
     x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
     backward(sum_all(clip(x, 0.0, 1.0)))

@@ -1,8 +1,12 @@
 """Optimizer arithmetic, loop determinism, failure handling, evaluation."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from scdkit import data as datamod
 from scdkit.blocks import EncoderConfig
 from scdkit.data import make_pair
 from scdkit.errors import ConfigError, NumericFailure
@@ -129,7 +133,6 @@ def test_sample_loss_dscd_has_no_change_term():
     pair = tiny_samples(1)[0]
     loss, report, out = sample_loss(net, pair, quick_cfg())
     assert report.l_change == 0.0 and report.l_sc == 0.0
-    assert report.change_pixels == 0
     assert out.c is None
     assert loss.requires_grad
 
@@ -140,8 +143,7 @@ def test_sample_loss_sscd_marks_change_pixels():
     _, report, out = sample_loss(net, pair, quick_cfg())
     assert report.l_change > 0.0
     assert report.l_sc == 0.0  # auto keeps the consistency term off here
-    assert report.change_pixels == pair.label1.size
-    assert out.c is not None
+    assert out.c.shape[-2:] == pair.label1.shape  # one change logit per pixel
 
 
 def test_sample_loss_sc_routing():
@@ -163,6 +165,19 @@ def test_train_returns_history_and_learns_something():
     history = train(net, tiny_samples(2), quick_cfg(epochs=3))
     assert len(history) == 3
     assert all(isinstance(r, LossReport) for r in history)
+
+
+def test_epoch_report_is_the_mean_of_the_sample_reports():
+    # one batch without augmentation: epoch 0 scores every sample at the
+    # initial weights, so its report is the plain mean of their reports
+    net = tiny_net("bisrnet")
+    samples = tiny_samples(3)
+    cfg = quick_cfg(batch_size=3, epochs=1)
+    reports = [sample_loss(net, pair, cfg)[1] for pair in samples]
+    (epoch0,) = train(net, samples, cfg)
+    for field in fields(LossReport):
+        mean = math.fsum(getattr(r, field.name) for r in reports) / len(reports)
+        assert getattr(epoch0, field.name) == pytest.approx(mean, rel=1e-12, abs=1e-12), field.name
 
 
 def test_train_determinism_bit_for_bit():
@@ -197,13 +212,22 @@ def test_train_rejects_empty_dataset():
 
 def test_train_aborts_on_nan_with_snapshot():
     net = tiny_net()
-    # poison a head weight: upstream relus would squash a NaN conv kernel,
-    # but nothing sits between the head logits and the loss
+    # poison a head weight: nothing sits between the head logits and the loss
     net.heads["p1"].weight.data[0, 0] = np.nan
     with pytest.raises(NumericFailure) as info:
         train(net, tiny_samples(1), quick_cfg())
     assert info.value.snapshot["epoch"] == 0
     assert "stem" in info.value.snapshot
+
+
+def test_train_aborts_on_a_nan_encoder_kernel():
+    # relu lets the NaN through, so it reaches the loss from the first layer
+    net = tiny_net()
+    net.encoder.stages[0][0].data[0, 0, 0, 0] = np.nan
+    with pytest.raises(NumericFailure) as info:
+        train(net, tiny_samples(1), quick_cfg())
+    assert info.value.snapshot["epoch"] == 0
+    assert info.value.snapshot["stem"] == "00"
 
 
 def test_train_logs_one_line_per_epoch():
@@ -266,15 +290,26 @@ def test_evaluate_forwards_without_recording_a_graph(monkeypatch):
         assert report.flops == tiny_net().estimate_flops(8, 8) > 0
 
 
-def test_evaluate_fails_at_the_first_pair_with_non_finite_logits():
+def test_evaluate_fails_at_the_first_pair_with_non_finite_logits(monkeypatch):
     net = tiny_net()
-    for p in net.parameters():
-        p.data *= 1e80  # the products of the deeper layers overflow
     samples = tiny_samples(3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert evaluate(net, samples[:1]).pixels == 2 * 64  # pair 00 stays finite
-        with pytest.raises(NumericFailure) as info:
-            evaluate(net, samples)
+    pair_tensors = datamod.pair_tensors
+    forwarded = []
+
+    def poisoned(pair):
+        # an inf pixel in pair 01's first image: pairs 00 and 02 stay finite
+        forwarded.append(pair.stem)
+        t1, t2 = pair_tensors(pair)
+        if pair.stem == "01":
+            t1.data[0, 0, 0] = np.inf
+        return t1, t2
+
+    monkeypatch.setattr(datamod, "pair_tensors", poisoned)
+    assert evaluate(net, samples[::2]).pixels == 2 * 2 * 64
+    forwarded.clear()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericFailure) as info:
+        evaluate(net, samples)
+    assert forwarded == ["00", "01"]  # pair 02 is never forwarded
     assert info.value.snapshot == {"stem": "01", "output": "p1"}
     assert str(info.value) == "evaluate: non-finite p1 logits for pair 01"
 
