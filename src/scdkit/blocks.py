@@ -203,8 +203,9 @@ class _AttentionProjections:
         k = matmul(self.key, flat)
         return softmax_rows(matmul(q, k))
 
-    def values(self, flat):
-        return matmul(self.value, flat)
+    def mix(self, flat, att):
+        # position j of the result adds the value projections weighted by row j of att
+        return add(flat, matmul(matmul(self.value, flat), transpose(att)))
 
     def named_params(self, prefix):
         return [(prefix + ".query", self.query), (prefix + ".key", self.key),
@@ -228,9 +229,7 @@ class SiamSR:
         if c != self.proj.channels:
             raise DimensionError(f"siam-sr: expected {self.proj.channels} channels, got shape {x.shape}")
         flat = reshape(x, (c, h * w))
-        att = self.proj.attention(flat)
-        mixed = matmul(self.proj.values(flat), transpose(att))
-        return reshape(add(flat, mixed), (c, h, w))
+        return reshape(self.proj.mix(flat, self.proj.attention(flat)), (c, h, w))
 
     def named_params(self, prefix):
         return self.proj.named_params(prefix)
@@ -259,9 +258,8 @@ class CotSR:
         f2 = reshape(x2, (c, h * w))
         a1 = self.branch1.attention(f1)
         a2 = self.branch2.attention(f2)
-        y1 = add(f1, matmul(self.branch1.values(f1), transpose(a2)))
-        y2 = add(f2, matmul(self.branch2.values(f2), transpose(a1)))
-        return reshape(y1, (c, h, w)), reshape(y2, (c, h, w))
+        return (reshape(self.branch1.mix(f1, a2), (c, h, w)),
+                reshape(self.branch2.mix(f2, a1), (c, h, w)))
 
     def named_params(self, prefix):
         out = self.branch1.named_params(prefix + ".branch1")

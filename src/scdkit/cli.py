@@ -9,8 +9,7 @@
     scdkit validate   check a dataset directory against the format contract
 
 Exit codes: 0 on success, 1 on contract/config/data errors, 2 on numeric
-failures (non-finite loss or logits, gradient check above threshold,
-undefined metric where a number was required).
+failures (non-finite loss or logits, gradient check above threshold).
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from .blocks import restore_checkpoint
 # imported one by one: the package re-exports a `train` function, which
 # shadows the train submodule as an attribute of the package
 from .train import evaluate, evaluate_directories, save_trained, train
-from .errors import (ConfigError, ContractError, DataError, DimensionError,
-                     NumericFailure, UndefinedMetricError)
+from .errors import ConfigError, ContractError, DataError, DimensionError, NumericFailure
 from .metrics import _FIELDS
 from .networks import FAMILIES, build, normalize_family
 
@@ -288,9 +286,6 @@ def main(argv=None):
     except (ConfigError, DataError, DimensionError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except UndefinedMetricError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 2
     except NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         if e.snapshot:

@@ -17,10 +17,6 @@ class DataError(ValueError):
     """A dataset file, label map or checkpoint is malformed."""
 
 
-class UndefinedMetricError(ValueError):
-    """The requested metric has no defined value on this confusion matrix."""
-
-
 class NumericFailure(RuntimeError):
     """A numeric invariant broke (NaN loss, divergence); carries a diagnostic snapshot."""
 

@@ -16,9 +16,9 @@ Q[i, j] = number of pixels predicted as class i whose ground truth is j
                        classes: hits = sum_{i>=1} q_ii, precision over
                        predicted-changed, recall over truth-changed.
 
-A metric without a defined value raises UndefinedMetricError from the
-per-metric functions; `compute_report` turns that into an explicit None
-(serialized as "undefined"), never a silent 0 or NaN.
+A metric without a defined value is None, never a silent 0 or NaN: every
+metric function returns it, and a report writes it as "undefined" (text and
+CSV) or null (JSON).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, UndefinedMetricError
+from .errors import DataError, DimensionError
 
 
 class ConfusionMatrix:
@@ -95,10 +95,9 @@ class ConfusionMatrix:
 
 
 def overall_accuracy(cm):
+    """None on an empty matrix."""
     total = cm.total()
-    if total == 0:
-        raise UndefinedMetricError("overall accuracy undefined on an empty matrix")
-    return float(np.trace(cm.counts)) / total
+    return float(np.trace(cm.counts)) / total if total else None
 
 
 def miou(cm):
@@ -115,39 +114,29 @@ def miou(cm):
     return iou_nc, iou_c, mean
 
 
-def _sek_parts(cm):
+def sek(cm):
+    """Returns (rho, eta, sek) computed on Q-hat (q00 zeroed); all three are
+    None when Q-hat is empty, and sek alone is None when eta equals 1."""
     qh = cm.counts.astype(np.float64)
     qh[0, 0] = 0.0
     t = qh.sum()
     if t == 0:
-        raise UndefinedMetricError("separated kappa undefined: no pixel outside the (0, 0) cell")
+        return None, None, None
     rho = float(np.trace(qh)) / t
     eta = float((qh.sum(axis=1) * qh.sum(axis=0)).sum()) / (t * t)
-    return rho, eta
-
-
-def _sek_value(iou_c, rho, eta):
     if eta == 1.0:
-        raise UndefinedMetricError("separated kappa undefined: chance agreement eta equals 1")
-    return math.exp(iou_c - 1.0) * (rho - eta) / (1.0 - eta)
-
-
-def sek(cm):
-    """Returns (rho, eta, sek) computed on Q-hat (q00 zeroed)."""
-    rho, eta = _sek_parts(cm)
+        return rho, eta, None
     _, iou_c, _ = miou(cm)  # Q-hat nonempty implies the changed union is nonempty
-    return rho, eta, _sek_value(iou_c, rho, eta)
+    return rho, eta, math.exp(iou_c - 1.0) * (rho - eta) / (1.0 - eta)
 
 
 def f_scd(cm):
     """Returns (precision, recall, f); a component with an empty denominator is
-    None.  Raises when neither prediction nor truth contains a changed pixel."""
+    None, and f is None unless both precision and recall are defined."""
     q = cm.counts
     hits = float(np.trace(q)) - float(q[0, 0])
     pred_changed = int(q[1:, :].sum())
     truth_changed = int(q[:, 1:].sum())
-    if pred_changed == 0 and truth_changed == 0:
-        raise UndefinedMetricError("F_scd undefined: no changed pixel in prediction or truth")
     precision = hits / pred_changed if pred_changed > 0 else None
     recall = hits / truth_changed if truth_changed > 0 else None
     if precision is None or recall is None:
@@ -212,22 +201,12 @@ class MetricsReport:
 
 
 def compute_report(cm):
-    """Evaluate every metric on one matrix, mapping undefined values to None."""
+    """Evaluate every metric on one matrix; undefined values stay None."""
     report = MetricsReport(pixels=cm.total())
-    try:
-        report.oa = overall_accuracy(cm)
-    except UndefinedMetricError:
-        pass
+    report.oa = overall_accuracy(cm)
     report.iou_nc, report.iou_c, report.miou = miou(cm)
-    try:
-        report.rho, report.eta = _sek_parts(cm)
-        report.sek = _sek_value(report.iou_c, report.rho, report.eta)
-    except UndefinedMetricError:
-        pass
-    try:
-        report.p_scd, report.r_scd, report.f_scd = f_scd(cm)
-    except UndefinedMetricError:
-        pass
+    report.rho, report.eta, report.sek = sek(cm)
+    report.p_scd, report.r_scd, report.f_scd = f_scd(cm)
     return report
 
 

@@ -518,12 +518,12 @@ def topo_order(*roots):
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -559,9 +559,9 @@ def backward(loss):
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     order = topo_order(loss)
-    flowing = {id(loss): np.ones_like(loss.data)}
+    flowing = {loss: np.ones_like(loss.data)}
     for node in reversed(order):
-        g = flowing.pop(id(node), None)
+        g = flowing.pop(node, None)
         if g is None:
             continue
         if node.backward_fn is None:
@@ -571,9 +571,8 @@ def backward(loss):
         for parent, contrib in zip(node.parents, node.backward_fn(g)):
             if contrib is None or not parent.requires_grad:
                 continue
-            pid = id(parent)
-            have = flowing.get(pid)
-            flowing[pid] = contrib if have is None else have + contrib
+            have = flowing.get(parent)
+            flowing[parent] = contrib if have is None else have + contrib
 
 
 def zero_grads(tensors):

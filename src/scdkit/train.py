@@ -95,18 +95,16 @@ def sample_loss(net, pair, cfg):
     """Forward one pair and route the loss terms by the network's head layout."""
     t1, t2 = datamod.pair_tensors(pair)
     out = net.forward(t1, t2)
-    l1m = pair.label1.astype(np.int64)
-    l2m = pair.label2.astype(np.int64)
 
     lc = lsc = Tensor(0.0)
     if out.c is None:
         # joint heads carry no-change as channel 0, so train them on the raw maps
-        l1 = dense_cross_entropy(out.p1, l1m)
-        l2 = dense_cross_entropy(out.p2, l2m)
+        l1 = dense_cross_entropy(out.p1, pair.label1)
+        l2 = dense_cross_entropy(out.p2, pair.label2)
     else:
-        change = pair.change_map.astype(np.int64)
-        l1 = semantic_loss(out.p1, l1m)
-        l2 = semantic_loss(out.p2, l2m)
+        change = pair.change_map
+        l1 = semantic_loss(out.p1, pair.label1)
+        l2 = semantic_loss(out.p2, pair.label2)
         lc = change_loss(out.c, change)
         if cfg.use_sc == "on" or (cfg.use_sc == "auto" and net.cotsr is not None):
             lsc = semantic_consistency_loss(out.p1, out.p2, change, cfg.sc_mode, cfg.sc_space)
@@ -178,8 +176,17 @@ def train(net, samples, cfg, log=None):
     return history
 
 
-def _merged_report(cm1, cm2, disagree):
-    """Merged report with the per-temporal breakdown and mean mask disagreement."""
+def _score(n_classes, maps):
+    """Score `(s1, s2, t1, t2)` label maps (predictions, then truths): one
+    report over both temporal matrices merged, with the per-temporal reports
+    and the mean mask disagreement attached."""
+    cm1 = ConfusionMatrix(n_classes)
+    cm2 = ConfusionMatrix(n_classes)
+    disagree = []
+    for s1, s2, t1, t2 in maps:
+        cm1.add(s1, t1)
+        cm2.add(s2, t2)
+        disagree.append(mask_disagreement(s1, s2))
     report = compute_report(cm1.merge(cm2))
     report.temporal = [compute_report(cm1), compute_report(cm2)]
     report.mask_disagreement = float(np.mean(disagree)) if disagree else 0.0
@@ -193,27 +200,24 @@ def evaluate(net, samples, collect_predictions=False):
     is built.  Raises `NumericFailure` at the first pair with a non-finite
     logit, naming the pair and the output (`p1`, `p2` or `c`, the change
     logit): label maps argmaxed from such logits mean nothing."""
-    n = net.num_classes
-    cm1 = ConfusionMatrix(n)
-    cm2 = ConfusionMatrix(n)
-    disagree = []
     predictions = []
-    for pair in samples:
-        with no_grad():
-            out = net.forward(*datamod.pair_tensors(pair))
-        for name in ("p1", "p2", "c"):
-            logits = getattr(out, name)
-            if logits is not None and not np.isfinite(logits.data).all():
-                raise NumericFailure(f"evaluate: non-finite {name} logits for pair {pair.stem}",
-                                     snapshot={"stem": pair.stem, "output": name})
-        s1, s2 = out.s1, out.s2
-        del out  # frees this pair's logits before the next pair is forwarded
-        cm1.add(s1, pair.label1)
-        cm2.add(s2, pair.label2)
-        disagree.append(mask_disagreement(s1, s2))
-        if collect_predictions:
-            predictions.append((pair.stem, s1, s2))
-    report = _merged_report(cm1, cm2, disagree)
+
+    def maps():
+        for pair in samples:
+            with no_grad():
+                out = net.forward(*datamod.pair_tensors(pair))
+            for name in ("p1", "p2", "c"):
+                logits = getattr(out, name)
+                if logits is not None and not np.isfinite(logits.data).all():
+                    raise NumericFailure(f"evaluate: non-finite {name} logits for pair {pair.stem}",
+                                         snapshot={"stem": pair.stem, "output": name})
+            s1, s2 = out.s1, out.s2
+            del out  # frees this pair's logits before the next pair is forwarded
+            if collect_predictions:
+                predictions.append((pair.stem, s1, s2))
+            yield s1, s2, pair.label1, pair.label2
+
+    report = _score(net.num_classes, maps())
     report.params = net.count_params()
     if samples:
         report.flops = net.estimate_flops(samples[0].height, samples[0].width)
@@ -224,18 +228,9 @@ def evaluate(net, samples, collect_predictions=False):
 
 def evaluate_directories(pred_root, truth_root, n_classes):
     """Compare stored prediction maps against a truth dataset directory."""
-    stems = datamod.list_stems(truth_root)
-    cm1 = ConfusionMatrix(n_classes)
-    cm2 = ConfusionMatrix(n_classes)
-    disagree = []
-    for stem in stems:
-        p1, p2 = datamod.read_prediction(pred_root, stem)
-        t1 = datamod.read_pgm(f"{truth_root}/label1/{stem}.pgm")
-        t2 = datamod.read_pgm(f"{truth_root}/label2/{stem}.pgm")
-        cm1.add(p1, t1)
-        cm2.add(p2, t2)
-        disagree.append(mask_disagreement(p1, p2))
-    return _merged_report(cm1, cm2, disagree)
+    return _score(n_classes, ((*datamod.read_prediction(pred_root, stem),
+                               *datamod.read_prediction(truth_root, stem))
+                              for stem in datamod.list_stems(truth_root)))
 
 
 def save_trained(net, path):

@@ -11,7 +11,7 @@ import pytest
 from scdkit.blocks import EncoderConfig, save_checkpoint
 from scdkit.cli import main
 from scdkit.config import _KEYS, Settings, parse_config
-from scdkit.data import write_pgm
+from scdkit.data import write_pgm, write_prediction
 from scdkit.errors import ConfigError
 from scdkit.networks import build
 from scdkit.train import TrainConfig
@@ -255,6 +255,27 @@ def test_metrics_perfect_when_pred_equals_truth(dataset, capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["oa"]) == 1.0
     assert float(cells["f_scd"]) == 1.0
+
+
+def test_metrics_without_changed_pixels_reports_undefined_and_exits_zero(tmp_path, capsys):
+    # neither map has a changed pixel: SeK and F_scd have no value, which is a
+    # result to report, not a failure
+    roots = [tmp_path / "pred", tmp_path / "truth"]
+    for root in roots:
+        write_prediction(root, "000000", np.zeros((4, 4), np.uint8), np.zeros((4, 4), np.uint8))
+    argv = ["metrics", "--pred", str(roots[0]), "--truth", str(roots[1]), "--classes", "3"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    assert "oa 1.0000" in line and "sek undefined" in line and "f_scd undefined" in line
+    assert main(argv + ["--csv", "-"]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["oa"] == "1.000000" and cells["pixels"] == "32"
+    assert cells["sek"] == cells["f_scd"] == cells["miou"] == "undefined"
+    assert main(argv + ["--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["oa"] == 1.0
+    assert report["sek"] is None and report["f_scd"] is None and report["rho"] is None
 
 
 @pytest.mark.parametrize("side", ["pred", "truth"])

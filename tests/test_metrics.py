@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scdkit.errors import DataError, DimensionError, UndefinedMetricError
+from scdkit.errors import DataError, DimensionError
 from scdkit.metrics import (ConfusionMatrix, compute_report, f_scd, miou,
                             oracle_metrics, overall_accuracy, sek)
 
@@ -188,12 +188,9 @@ def test_class_permutation_invariance():
 
 def test_empty_matrix_everything_undefined():
     cm = ConfusionMatrix(2)
-    with pytest.raises(UndefinedMetricError):
-        overall_accuracy(cm)
-    with pytest.raises(UndefinedMetricError):
-        sek(cm)
-    with pytest.raises(UndefinedMetricError):
-        f_scd(cm)
+    assert overall_accuracy(cm) is None
+    assert sek(cm) == (None, None, None)
+    assert f_scd(cm) == (None, None, None)
     report = compute_report(cm)
     assert report.pixels == 0
     assert report.oa is None and report.sek is None and report.f_scd is None
@@ -212,8 +209,7 @@ def test_eta_one_keeps_rho_eta_but_no_sek():
     counts = np.zeros((3, 3), dtype=int)
     counts[1, 1] = 5
     cm = ConfusionMatrix(2, counts)
-    with pytest.raises(UndefinedMetricError):
-        sek(cm)
+    assert sek(cm) == (1.0, 1.0, None)
     report = compute_report(cm)
     assert report.rho == 1.0 and report.eta == 1.0 and report.sek is None
 
